@@ -504,14 +504,6 @@ let tests =
       (Staged.stage (fun () ->
            Vp_engine.Compiled.run_scenario kernel_compiled kernel_arena
              ~outcomes:[| false; true |]));
-    (* The whole 2^2 scenario set of the worked example in one
-       prefix-sharing pass; compare with 4x kernel:dual-engine-run. *)
-    Test.make ~name:"kernel:scenario-tree"
-      (Staged.stage
-         (let vectors = Array.of_list (Vp_engine.Scenario.enumerate 2) in
-          fun () ->
-            Vp_engine.Compiled.run_batch kernel_compiled kernel_arena
-              ~vectors));
     Test.make ~name:"kernel:dual-engine-oracle"
       (Staged.stage (fun () ->
            Vp_engine.Dual_engine.run kernel_spec ~reference:kernel_reference
@@ -571,8 +563,8 @@ let tests =
           fun () ->
             Vp_predict.Kernel.run_pass pass values ~off:0 ~len:2000));
     (* One VP-table slot's whole predict-and-train sequence — the fused
-       hybrid stride+FCM kernel the trace simulator's fast lane runs per
-       slot batch. Same 2000-value arena as kernel:value-profile-pass. *)
+       hybrid stride+FCM kernel the trace simulator runs per slot
+       batch. Same 2000-value arena as kernel:value-profile-pass. *)
     Test.make ~name:"kernel:vp-table-pass"
       (Staged.stage
          (let values = Array.init 2000 (fun i -> i * 7 land 4095) in
@@ -581,8 +573,8 @@ let tests =
           fun () ->
             Vp_predict.Vp_table.run_slot_uniform table ~pc:42 values
               ~len:2000 ~correct));
-    (* The trace simulator alone against a prebuilt pipeline — the phased
-       fast lane without hardware-validation's (memoized) pipeline
+    (* The trace simulator alone against a prebuilt pipeline — its phased
+       kernels without hardware-validation's (memoized) pipeline
        rebuild. *)
     Test.make ~name:"kernel:trace-sim"
       (Staged.stage

@@ -24,44 +24,26 @@ let pc_of ~block ~op =
       (Printf.sprintf "Trace_sim.pc_of: op id %d outside [0, 256)" op);
   (block * 256) + op
 
-(* The phased fast lane is the default; the scalar loop stays reachable as
-   the oracle for A/B and CI coverage through the [VP_NO_TRACE_FAST]
-   escape hatch (any non-empty value other than "0"), mirroring
-   [VP_NO_BITSET]. Both lanes produce byte-identical results. *)
-let fast_enabled =
-  lazy
-    (match Sys.getenv_opt "VP_NO_TRACE_FAST" with
-    | Some v when v <> "" && v <> "0" -> false
-    | _ -> true)
-
 (* --- Telemetry --- *)
 
 type stats = {
-  fast_runs : int;
-  scalar_runs : int;
   memo_hits : int;
   engine_replays : int;
   alias_evictions : int;
 }
 
-let t_fast_runs = Atomic.make 0
-let t_scalar_runs = Atomic.make 0
 let t_memo_hits = Atomic.make 0
 let t_engine_replays = Atomic.make 0
 let t_alias_evictions = Atomic.make 0
 
 let stats () =
   {
-    fast_runs = Atomic.get t_fast_runs;
-    scalar_runs = Atomic.get t_scalar_runs;
     memo_hits = Atomic.get t_memo_hits;
     engine_replays = Atomic.get t_engine_replays;
     alias_evictions = Atomic.get t_alias_evictions;
   }
 
 let clear_stats () =
-  Atomic.set t_fast_runs 0;
-  Atomic.set t_scalar_runs 0;
   Atomic.set t_memo_hits 0;
   Atomic.set t_engine_replays 0;
   Atomic.set t_alias_evictions 0
@@ -69,10 +51,8 @@ let clear_stats () =
 let telemetry_json () =
   let s = stats () in
   Printf.sprintf
-    "{\"fast_enabled\": %b, \"fast_runs\": %d, \"scalar_runs\": %d, \
-     \"memo_hits\": %d, \"engine_replays\": %d, \"alias_evictions\": %d}"
-    (Lazy.force fast_enabled) s.fast_runs s.scalar_runs s.memo_hits
-    s.engine_replays s.alias_evictions
+    "{\"memo_hits\": %d, \"engine_replays\": %d, \"alias_evictions\": %d}"
+    s.memo_hits s.engine_replays s.alias_evictions
 
 (* --- Bounded outcome-mask memo ---
 
@@ -148,15 +128,15 @@ let memo_add m mask cycles =
    [Pipeline.reference_of_block] rebuilds the same position-0-valued
    reference the pipeline compiled against), the predicted loads' stream
    ids and PCs, and the outcome-mask memo. *)
-type fast_block = {
-  fb_compiled : Vp_engine.Compiled.t;
-  fb_streams : int array; (* stream id per predicted load *)
-  fb_pcs : int array; (* VP-table PC per predicted load *)
-  fb_outcomes : bool array; (* scratch, one slot per predicted load *)
-  fb_memo : memo;
+type block_state = {
+  bs_compiled : Vp_engine.Compiled.t;
+  bs_streams : int array; (* stream id per predicted load *)
+  bs_pcs : int array; (* VP-table PC per predicted load *)
+  bs_outcomes : bool array; (* scratch, one slot per predicted load *)
+  bs_memo : memo;
 }
 
-let build_fast_block config p bi (spec : Pipeline.spec_eval) =
+let build_block_state config p bi (spec : Pipeline.spec_eval) =
   let compiled =
     Spec_unit.compiled ?ccb_capacity:config.Config.ccb_capacity
       ~cce_retire_width:config.Config.cce_retire_width
@@ -166,44 +146,43 @@ let build_fast_block config p bi (spec : Pipeline.spec_eval) =
   let preds = spec.Pipeline.sb.Vp_vspec.Spec_block.predicted in
   let n = Array.length preds in
   {
-    fb_compiled = compiled;
-    fb_streams =
+    bs_compiled = compiled;
+    bs_streams =
       Array.map
         (fun (pl : Vp_vspec.Spec_block.predicted_load) ->
           Option.get pl.stream)
         preds;
-    fb_pcs =
+    bs_pcs =
       Array.map
         (fun (pl : Vp_vspec.Spec_block.predicted_load) ->
           pc_of ~block:bi ~op:pl.orig_load_id)
         preds;
-    fb_outcomes = Array.make n false;
-    fb_memo = make_memo n;
+    bs_outcomes = Array.make n false;
+    bs_memo = make_memo n;
   }
 
 (* --- Persistent per-pipeline simulation state ---
 
-   Everything in [fast_block] is a pure function of the pipeline: the
+   Everything in [block_state] is a pure function of the pipeline: the
    compiled kernel and position-0 reference (through the spec-unit
    cache), the predicted loads' stream ids and PCs, and the mask memo's
    mapping — which masks are *present* in the memo depends on run
    history, but mask -> cycles does not, so sharing the memo across runs
-   (and across the fast and scalar lanes) changes which executions hit
-   it, never the cycles they charge. Building this state dominates a
-   validation run (~30 compiled lookups + reference interpretations +
-   cold engine replays), so it is built once per pipeline and reused:
-   repeated runs replay the engine only for masks never seen by *any*
-   prior run on that pipeline.
+   changes which executions hit it, never the cycles they charge.
+   Building this state dominates a validation run (~30 compiled lookups +
+   reference interpretations + cold engine replays), so it is built once
+   per pipeline and reused: repeated runs replay the engine only for
+   masks never seen by *any* prior run on that pipeline.
 
    Concurrency: runs on the same pipeline serialize on the state's lock
-   ([fb_outcomes] and the engine arena are shared scratch); runs on
+   ([bs_outcomes] and the engine arena are shared scratch); runs on
    different pipelines don't contend. The registry is bounded — past
    [states_cap] pipelines it is emptied and rebuilt — so resident memo
    memory stays capped alongside the per-block [Bounded] caps. *)
 
 type sim_state = {
   ss_lock : Mutex.t;
-  ss_blocks : fast_block option array; (* lazily built, like the lanes did *)
+  ss_blocks : block_state option array; (* built on first execution *)
   ss_scratch : Vp_engine.Compiled.Arena.t;
 }
 
@@ -241,7 +220,7 @@ let block_for ss config p bi spec =
   match ss.ss_blocks.(bi) with
   | Some f -> f
   | None ->
-      let f = build_fast_block config p bi spec in
+      let f = build_block_state config p bi spec in
       ss.ss_blocks.(bi) <- Some f;
       f
 
@@ -283,108 +262,12 @@ let finish ~executions ~cycles ~original_cycles ~predictions ~mispredictions
     profile_speedup = Vp_metrics.Summary.expected_speedup (Pipeline.stats p);
   }
 
-let trace_rng (config : Config.t) =
-  let rng = Vp_util.Rng.create config.Config.seed in
-  Vp_util.Rng.split_named rng "hardware-trace"
+(* --- Three phased kernels ---
 
-let block_weights (p : Pipeline.t) =
-  Array.map (fun (b : Pipeline.block_eval) -> float_of_int b.count) p.blocks
-
-(* --- Scalar lane: the oracle ---
-
-   The original per-execution interpreter loop: one table call per
-   predicted load in schedule order. Kept reachable under
-   [VP_NO_TRACE_FAST]; test_trace_sim.ml pins the fast lane to it. *)
-
-(* Per-stream read state: a cursor over the workload's shared arena. The
-   arena may move when grown, so the cursor re-fetches it at (amortized,
-   doubling) capacity steps. Every position of the fetched array is a
-   valid stream value ([Workload.arena] fills its whole allocation), so
-   the usable length is [Array.length c.buf] — not the requested
-   [min_len], which may under-report what the arena actually holds. *)
-type cursor = { mutable buf : int array; mutable pos : int }
-
-let run_scalar ~executions ~table ss (p : Pipeline.t) =
-  let config = p.config in
-  let rng = trace_rng config in
-  let weights = block_weights p in
-  (* Each predicted load replays its stream across its block's executions,
-     exactly as profiling saw it, by walking the stream's arena. Loads
-     whose prediction was not selected used to draw and discard values;
-     streams are private to one load, so skipping those draws is
-     unobservable. Stream ids are dense, so the cursor map is a flat
-     array. *)
-  let cursors =
-    Array.init (Vp_workload.Workload.num_streams p.workload) (fun _ ->
-        { buf = [||]; pos = 0 })
-  in
-  let next_value id =
-    let c = cursors.(id) in
-    if c.pos >= Array.length c.buf then
-      c.buf <-
-        Vp_workload.Workload.arena p.workload id
-          ~min_len:(max 64 (2 * Array.length c.buf));
-    let v = c.buf.(c.pos) in
-    c.pos <- c.pos + 1;
-    v
-  in
-  let scratch = ss.ss_scratch in
-  let cycles = ref 0 in
-  let original_cycles = ref 0 in
-  let predictions = ref 0 in
-  let mispredictions = ref 0 in
-  let memo_hits = ref 0 in
-  let engine_replays = ref 0 in
-  for _ = 1 to executions do
-    let bi = Vp_util.Rng.weighted_index rng weights in
-    let b = p.blocks.(bi) in
-    original_cycles := !original_cycles + b.Pipeline.original_cycles;
-    match b.Pipeline.spec with
-    | None -> cycles := !cycles + b.Pipeline.original_cycles
-    | Some spec ->
-        let f = block_for ss config p bi spec in
-        let n = Array.length f.fb_streams in
-        let mask = ref 0 in
-        for i = 0 to n - 1 do
-          let actual = next_value f.fb_streams.(i) in
-          let correct =
-            Vp_predict.Vp_table.predict_and_train table ~pc:f.fb_pcs.(i)
-              ~actual
-          in
-          incr predictions;
-          if not correct then incr mispredictions;
-          f.fb_outcomes.(i) <- correct;
-          if correct && i <= mask_bits then mask := !mask lor (1 lsl i)
-        done;
-        let memoized = memo_find f.fb_memo !mask in
-        let eff =
-          if memoized >= 0 then begin
-            incr memo_hits;
-            memoized
-          end
-          else begin
-            incr engine_replays;
-            let r =
-              Vp_engine.Compiled.run_scenario f.fb_compiled scratch
-                ~outcomes:f.fb_outcomes
-            in
-            let eff = Config.effective_cycles config r in
-            memo_add f.fb_memo !mask eff;
-            eff
-          end
-        in
-        cycles := !cycles + eff
-  done;
-  Atomic.incr t_scalar_runs;
-  ignore (Atomic.fetch_and_add t_memo_hits !memo_hits);
-  ignore (Atomic.fetch_and_add t_engine_replays !engine_replays);
-  finish ~executions ~cycles:!cycles ~original_cycles:!original_cycles
-    ~predictions:!predictions ~mispredictions:!mispredictions p
-
-(* --- Fast lane: three phased kernels ---
-
-   Soundness rests on three facts, argued in DESIGN.md § "Trace-sim
-   phases":
+   The kernels produce exactly what a per-execution loop would (one table
+   call per predicted load, in schedule order; test_trace_sim.ml keeps
+   that loop as its oracle). Soundness rests on three facts, argued in
+   DESIGN.md § "Trace-sim phases":
    - the block schedule is a pure function of (seed, block weights) — the
      trace RNG's only consumer is [weighted_index], so the whole schedule
      can be drawn up front (phase 0);
@@ -399,14 +282,20 @@ let run_scalar ~executions ~table ss (p : Pipeline.t) =
    outcome bits, which is where cycles accounting and the mask memo
    live. *)
 
-let run_fast ~executions ~table ss (p : Pipeline.t) =
+let simulate ~executions ~table ss (p : Pipeline.t) =
   let config = p.config in
-  let rng = trace_rng config in
-  let weights = block_weights p in
+  let rng =
+    Vp_util.Rng.split_named
+      (Vp_util.Rng.create config.Config.seed)
+      "hardware-trace"
+  in
+  let weights =
+    Array.map (fun (b : Pipeline.block_eval) -> float_of_int b.count) p.blocks
+  in
   let nblocks = Array.length p.blocks in
   (* Phase 0: pre-draw the schedule. An explicit loop — [Array.init]'s
      evaluation order is unspecified, and the draws must consume the RNG
-     in schedule order to match the scalar lane. *)
+     in schedule order, as a per-execution loop would. *)
   let schedule = Array.make executions 0 in
   for i = 0 to executions - 1 do
     schedule.(i) <- Vp_util.Rng.weighted_index rng weights
@@ -417,10 +306,10 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
     occ.(bi) <- occ.(bi) + 1
   done;
   (* Per-run view over the persistent per-block state, restricted to
-     speculated blocks that actually execute this run: the scalar lane
-     never touches the table (or the arenas) for a block with zero
+     speculated blocks that actually execute this run: a per-execution
+     loop never touches the table (or the arenas) for a block with zero
      occurrences, so neither may we. *)
-  let fast : fast_block option array = Array.make nblocks None in
+  let active : block_state option array = Array.make nblocks None in
   let base = Array.make nblocks 0 in
   let total_loads = ref 0 in
   for bi = 0 to nblocks - 1 do
@@ -430,8 +319,8 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
       | None -> ()
       | Some spec ->
           let f = block_for ss config p bi spec in
-          fast.(bi) <- Some f;
-          total_loads := !total_loads + Array.length f.fb_streams
+          active.(bi) <- Some f;
+          total_loads := !total_loads + Array.length f.bs_streams
   done;
   let total_loads = !total_loads in
   let ld_block = Array.make total_loads 0 in
@@ -439,7 +328,7 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
   let ld_pc = Array.make total_loads 0 in
   let ld_out = Array.make total_loads Bytes.empty in
   for bi = 0 to nblocks - 1 do
-    match fast.(bi) with
+    match active.(bi) with
     | None -> ()
     | Some f ->
         let g0 = base.(bi) in
@@ -447,9 +336,9 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
           (fun li sid ->
             ld_block.(g0 + li) <- bi;
             ld_stream.(g0 + li) <- sid;
-            ld_pc.(g0 + li) <- f.fb_pcs.(li);
+            ld_pc.(g0 + li) <- f.bs_pcs.(li);
             ld_out.(g0 + li) <- Bytes.create occ.(bi))
-          f.fb_streams
+          f.bs_streams
   done;
   (* Phase 1: group loads by VP-table slot and run each slot's whole
      predict-and-train sequence as one kernel call. Slot groups are
@@ -476,8 +365,8 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
             ~len ~correct:ld_out.(g)
       | members ->
           (* Aliasing slot: interleave the members' touches in schedule
-             order — that is the order tag evictions fire in the scalar
-             lane. Gather (pc, value) per touch, run the slot, scatter
+             order — that is the order tag evictions fire in a
+             per-execution loop. Gather (pc, value) per touch, run the slot, scatter
              the outcome bytes back per load. *)
           let members = Array.of_list members in
           let m = Array.length members in
@@ -538,10 +427,10 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
     let bi = schedule.(i) in
     let b = p.blocks.(bi) in
     original_cycles := !original_cycles + b.Pipeline.original_cycles;
-    match fast.(bi) with
+    match active.(bi) with
     | None -> cycles := !cycles + b.Pipeline.original_cycles
     | Some f ->
-        let n = Array.length f.fb_streams in
+        let n = Array.length f.bs_streams in
         let g0 = base.(bi) in
         let mask = ref 0 in
         for li = 0 to n - 1 do
@@ -552,10 +441,10 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
           kpos.(g) <- kpos.(g) + 1;
           incr predictions;
           if not correct then incr mispredictions;
-          f.fb_outcomes.(li) <- correct;
+          f.bs_outcomes.(li) <- correct;
           if correct && li <= mask_bits then mask := !mask lor (1 lsl li)
         done;
-        let memoized = memo_find f.fb_memo !mask in
+        let memoized = memo_find f.bs_memo !mask in
         let eff =
           if memoized >= 0 then begin
             incr memo_hits;
@@ -564,35 +453,29 @@ let run_fast ~executions ~table ss (p : Pipeline.t) =
           else begin
             incr engine_replays;
             let r =
-              Vp_engine.Compiled.run_scenario f.fb_compiled scratch
-                ~outcomes:f.fb_outcomes
+              Vp_engine.Compiled.run_scenario f.bs_compiled scratch
+                ~outcomes:f.bs_outcomes
             in
             let eff = Config.effective_cycles config r in
-            memo_add f.fb_memo !mask eff;
+            memo_add f.bs_memo !mask eff;
             eff
           end
         in
         cycles := !cycles + eff
   done;
-  Atomic.incr t_fast_runs;
   ignore (Atomic.fetch_and_add t_memo_hits !memo_hits);
   ignore (Atomic.fetch_and_add t_engine_replays !engine_replays);
   finish ~executions ~cycles:!cycles ~original_cycles:!original_cycles
     ~predictions:!predictions ~mispredictions:!mispredictions p
 
-let run ?(executions = 5000) ?table ?fast (p : Pipeline.t) =
+let run ?(executions = 5000) ?table (p : Pipeline.t) =
   let table =
     match table with Some t -> t | None -> pooled_table ()
-  in
-  let fast =
-    match fast with Some f -> f | None -> Lazy.force fast_enabled
   in
   let ss = state_for p in
   let ev0 = Vp_predict.Vp_table.evictions table in
   let r =
-    Mutex.protect ss.ss_lock (fun () ->
-        if fast then run_fast ~executions ~table ss p
-        else run_scalar ~executions ~table ss p)
+    Mutex.protect ss.ss_lock (fun () -> simulate ~executions ~table ss p)
   in
   ignore
     (Atomic.fetch_and_add t_alias_evictions

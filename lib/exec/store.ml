@@ -9,7 +9,9 @@ let default_dir = "_cache"
 (* The executable digest makes stale entries self-invalidating: a rebuilt
    binary reads a version mismatch, evicts and recomputes. It also makes
    [Marshal.Closures] payloads safe — they are only ever read back by the
-   bit-identical binary that wrote them. *)
+   bit-identical binary that wrote them. Only [Cli.context] forces it, on
+   the main domain before any worker starts: a [lazy] forced from two
+   domains at once raises [CamlinternalLazy.Undefined]. *)
 let default_version =
   lazy
     (let exe =

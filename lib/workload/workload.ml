@@ -140,10 +140,8 @@ let arena t id ~min_len =
           Array.blit entry.buf 0 buf 0 entry.filled;
           entry.buf <- buf
         end;
-        (* Fill the whole allocation, not just [min_len]: every position of
-           the returned array is then a valid stream value, so callers may
-           use [Array.length] as the usable length (the trace simulator's
-           cursors rely on this). *)
+        (* Fill the whole allocation, not just [min_len], so each growth
+           step draws its values in one pass. *)
         let cap = Array.length entry.buf in
         for i = entry.filled to cap - 1 do
           entry.buf.(i) <- Value_stream.next entry.tail

@@ -87,9 +87,9 @@ let contains_sub line expect_sub =
   go 0
 
 (* [--telemetry -] must report the bit-parallel scenario engine's lane
-   occupancy in a [spec_eval] section: whether the engine is on, how many
-   lane words ran and how many vectors they carried, and how many
-   deadlock lanes fell back to a scalar replay. *)
+   occupancy in a [spec_eval] section: how many lane words ran and how
+   many vectors they carried, and how many deadlock lanes fell back to a
+   scalar replay. *)
 let test_telemetry_spec_eval () =
   let code, err = run [ "table2"; "--telemetry"; "-" ] in
   checki "exit 0" 0 code;
@@ -100,7 +100,6 @@ let test_telemetry_spec_eval () =
         true (contains_sub err field))
     [
       "\"spec_eval\"";
-      "\"bitset_enabled\"";
       "\"bitset_words\"";
       "\"bitset_vectors\"";
       "\"vectors_per_word\"";
@@ -108,9 +107,7 @@ let test_telemetry_spec_eval () =
     ]
 
 (* The hardware-validation run must surface the trace simulator's counters
-   as a [trace_sim] section. Field presence only — [fast_enabled]'s value
-   depends on the inherited [VP_NO_TRACE_FAST], and exactly one of
-   [fast_runs]/[scalar_runs] is non-zero accordingly. *)
+   as a [trace_sim] section. *)
 let test_telemetry_trace_sim () =
   let code, err =
     run [ "hardware"; "-b"; "compress"; "--telemetry"; "-" ]
@@ -123,15 +120,12 @@ let test_telemetry_trace_sim () =
         true (contains_sub err field))
     [
       "\"trace_sim\"";
-      "\"fast_enabled\"";
-      "\"fast_runs\"";
-      "\"scalar_runs\"";
       "\"memo_hits\"";
       "\"engine_replays\"";
       "\"alias_evictions\"";
     ];
   (* the run simulated something: at least one block execution reached the
-     engine, whichever lane ran *)
+     engine *)
   checkb "engine replays recorded" true
     (not (contains_sub err "\"engine_replays\": 0,"))
 

@@ -155,38 +155,7 @@ let prop_kernel_matches_oracle =
               = Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
             (outcome_vectors n ~rng ~draws:8))
 
-(* --- Scenario-tree batch mode vs per-vector replay --- *)
-
-(* [run_batch] must be observationally identical to mapping [run_scenario]
-   over the vectors — including on duplicated vectors, and including the
-   deadlock behaviour of a per-vector loop (first deadlocking vector in
-   input order wins) on constrained CCB/CCE shapes. *)
-let check_batch ?ccb_capacity ?cce_retire_width label sb vectors =
-  let reference = reference_of sb in
-  let compiled =
-    Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb ~reference
-      ~live_in
-  in
-  let under f =
-    try Ok (f ())
-    with Vp_engine.Dual_engine.Deadlock m -> Error (`Deadlock m)
-  in
-  let seq =
-    under (fun () ->
-        Array.map
-          (fun outcomes ->
-            Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
-          vectors)
-  in
-  let batch =
-    under (fun () -> Vp_engine.Compiled.run_batch compiled arena ~vectors)
-  in
-  Alcotest.check
-    (Alcotest.result
-       (Alcotest.array result)
-       (Alcotest.of_pp (fun ppf (`Deadlock m) ->
-            Format.fprintf ppf "deadlock: %s" m)))
-    label seq batch
+(* --- Bitset lanes vs per-vector replay --- *)
 
 let batch_vectors n ~rng =
   (* enumerated prefix + random draws + deliberate duplicates *)
@@ -196,75 +165,6 @@ let batch_vectors n ~rng =
   in
   let all = enum @ draws in
   Array.of_list (all @ [ List.hd all ] @ [ List.nth all (List.length all / 2) ])
-
-let test_batch_equivalence () =
-  let rng = Vp_util.Rng.create 42 in
-  List.iter
-    (fun (sb : Vp_vspec.Spec_block.t) ->
-      let n = Array.length sb.predicted in
-      check_batch
-        (Vp_ir.Block.label sb.block)
-        sb
-        (batch_vectors n ~rng))
-    (Lazy.force speculated_blocks)
-
-let test_batch_equivalence_constrained () =
-  let rng = Vp_util.Rng.create 43 in
-  List.iteri
-    (fun i (sb : Vp_vspec.Spec_block.t) ->
-      let n = Array.length sb.predicted in
-      if i mod 2 = 0 then
-        check_batch ~ccb_capacity:1
-          (Printf.sprintf "%s ccb=1" (Vp_ir.Block.label sb.block))
-          sb
-          (batch_vectors n ~rng)
-      else
-        check_batch ~ccb_capacity:2 ~cce_retire_width:2
-          (Printf.sprintf "%s ccb=2 w=2" (Vp_ir.Block.label sb.block))
-          sb
-          (batch_vectors n ~rng))
-    (Lazy.force speculated_blocks)
-
-let prop_batch_matches_per_vector =
-  QCheck.Test.make ~count:60
-    ~name:"run_batch = per-vector run_scenario on arbitrary blocks"
-    QCheck.(quad small_int (int_bound 7) small_int (int_bound 2))
-    (fun (seed, pick, oseed, shape) ->
-      let models = Vp_workload.Spec_model.all in
-      let model = List.nth models (pick mod List.length models) in
-      let block, _ =
-        Vp_workload.Block_gen.generate model
-          ~rng:(Vp_util.Rng.create seed)
-          ~stream_base:0 ~label:"batch-equiv"
-      in
-      match Vp_vspec.Transform.apply machine ~rate:(rate_all 0.8) block with
-      | Vp_vspec.Transform.Unchanged _ -> true
-      | Vp_vspec.Transform.Speculated sb ->
-          let ccb_capacity, cce_retire_width =
-            match shape with 0 -> (None, None) | 1 -> (Some 1, None)
-            | _ -> (Some 2, Some 2)
-          in
-          let reference = reference_of sb in
-          let compiled =
-            Vp_engine.Compiled.compile ?ccb_capacity ?cce_retire_width sb
-              ~reference ~live_in
-          in
-          let n = Vp_engine.Compiled.num_predictions compiled in
-          let rng = Vp_util.Rng.create oseed in
-          let vectors = batch_vectors n ~rng in
-          let under f =
-            try Ok (f ())
-            with Vp_engine.Dual_engine.Deadlock m -> Error m
-          in
-          under (fun () ->
-              Array.map
-                (fun outcomes ->
-                  Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
-                vectors)
-          = under (fun () ->
-                Vp_engine.Compiled.run_batch compiled arena ~vectors))
-
-(* --- Bitset lanes vs per-vector replay --- *)
 
 (* One shared lane arena, like [arena]: every block must reset what it
    uses. *)
@@ -386,11 +286,59 @@ let prop_bitset_matches_per_vector =
                   Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
                 vectors)
           = under (fun () ->
-                Vp_engine.Compiled.run_bitset compiled lanes ~vectors)
-          && under (fun () ->
-                 Vp_engine.Compiled.run_batch compiled arena ~vectors)
-             = under (fun () ->
-                   Vp_engine.Compiled.run_bitset compiled lanes ~vectors))
+                Vp_engine.Compiled.run_bitset compiled lanes ~vectors))
+
+(* --- Pipeline scenario batches vs per-vector replay --- *)
+
+(* Every paper artifact reads its scenario results from [spec_eval], which
+   the pipeline fills through [run_bitset] alone. Re-simulate each
+   speculated block of every model one vector at a time on an independent
+   compile: each scenario's [result], and [best] / [worst] (the
+   all-correct / all-incorrect vectors), must equal [run_scenario]'s. *)
+let check_pipeline_batches (config : Vliw_vp.Config.t) =
+  let blocks = ref 0 and vectors = ref 0 in
+  List.iter
+    (fun (model : Vp_workload.Spec_model.t) ->
+      let p = Vliw_vp.Pipeline.run ~config model in
+      Array.iter
+        (fun (b : Vliw_vp.Pipeline.block_eval) ->
+          match b.spec with
+          | None -> ()
+          | Some spec ->
+              incr blocks;
+              let compiled =
+                Vp_engine.Compiled.compile ?ccb_capacity:config.ccb_capacity
+                  ~cce_retire_width:config.cce_retire_width spec.sb
+                  ~reference:(Vliw_vp.Pipeline.reference_of_block p b.index)
+                  ~live_in
+              in
+              let check what outcomes got =
+                incr vectors;
+                Alcotest.check result
+                  (Printf.sprintf "%s width %d block %d %s" model.name
+                     config.width b.index what)
+                  (Vp_engine.Compiled.run_scenario compiled arena ~outcomes)
+                  got
+              in
+              List.iter
+                (fun (sc : Vliw_vp.Pipeline.scenario_eval) ->
+                  check "scenario" sc.outcomes sc.result)
+                spec.scenarios;
+              let n = Array.length spec.rates in
+              check "best" (Vp_engine.Scenario.all_correct n) spec.best;
+              check "worst" (Vp_engine.Scenario.all_incorrect n) spec.worst)
+        p.blocks)
+    Vp_workload.Spec_model.all;
+  checkb
+    (Printf.sprintf "width %d: %d blocks, %d vectors checked" config.width
+       !blocks !vectors)
+    true (!blocks > 0)
+
+let test_pipeline_batches_default () =
+  check_pipeline_batches Vliw_vp.Config.default
+
+let test_pipeline_batches_width8 () =
+  check_pipeline_batches { Vliw_vp.Config.default with width = 8 }
 
 (* --- Allocation regression --- *)
 
@@ -457,13 +405,6 @@ let () =
             test_random_blocks_constrained;
           QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
         ] );
-      ( "scenario-tree",
-        [
-          tc "batch = per-vector on random blocks" test_batch_equivalence;
-          tc "batch = per-vector, tight CCB / wide CCE"
-            test_batch_equivalence_constrained;
-          QCheck_alcotest.to_alcotest prop_batch_matches_per_vector;
-        ] );
       ( "bitset-lanes",
         [
           tc "bitset = per-vector on random blocks" test_bitset_equivalence;
@@ -471,6 +412,11 @@ let () =
             test_bitset_equivalence_constrained;
           tc "chunking boundaries 62/63/64/127" test_bitset_chunking;
           QCheck_alcotest.to_alcotest prop_bitset_matches_per_vector;
+        ] );
+      ( "pipeline-eval",
+        [
+          tc "spec_eval = run_scenario, default" test_pipeline_batches_default;
+          tc "spec_eval = run_scenario, width 8" test_pipeline_batches_width8;
         ] );
       ( "allocation",
         [

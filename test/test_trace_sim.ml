@@ -1,11 +1,10 @@
-(* Trace-simulation fast lane vs the legacy scalar loop.
+(* Trace simulation vs the per-execution oracle.
 
-   The phased fast lane (pre-drawn schedule, slot-batched predictor
-   kernels, mask-memo replay) must be byte-identical to the per-execution
-   scalar oracle for every model, seed, and table configuration — results
-   AND the final VP-table state (evictions, utilization). The scalar lane
-   stays reachable through [Trace_sim.run ~fast:false] (the
-   [VP_NO_TRACE_FAST] escape hatch takes the same path). *)
+   [Trace_sim.run]'s phased kernels (pre-drawn schedule, slot-batched
+   predictor kernels, mask-memo replay) must be byte-identical to
+   [Trace_oracle.run], the per-execution loop, for every model, seed, and
+   table configuration — results AND the final VP-table state (evictions,
+   utilization). *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -59,8 +58,8 @@ let prop_fast_matches_scalar =
         Vp_predict.Vp_table.create ~entries ~use_confidence ~tagged ()
       in
       let ta = mk () and tb = mk () in
-      let ra = Vliw_vp.Trace_sim.run ~executions ~table:ta ~fast:true p in
-      let rb = Vliw_vp.Trace_sim.run ~executions ~table:tb ~fast:false p in
+      let ra = Vliw_vp.Trace_sim.run ~executions ~table:ta p in
+      let rb = (Trace_oracle.run ~executions ~table:tb p).result in
       ra = rb
       && Vp_predict.Vp_table.evictions ta = Vp_predict.Vp_table.evictions tb
       && Vp_predict.Vp_table.utilization ta
@@ -69,7 +68,7 @@ let prop_fast_matches_scalar =
 (* --- Slot aliasing regression ---
 
    Two PCs hashing to the same slot of a tagged table evict each other on
-   every alternation; the fast lane must replay those evictions in
+   every alternation; the phased kernels must replay those evictions in
    schedule order, not slot-discovery order. A 1-entry table forces every
    static load of the model onto one slot — the maximal aliasing case. *)
 
@@ -77,8 +76,8 @@ let test_aliasing_one_entry () =
   let p = pipeline_of Vp_workload.Spec_model.compress 42 in
   let mk () = Vp_predict.Vp_table.create ~entries:1 () in
   let ta = mk () and tb = mk () in
-  let ra = Vliw_vp.Trace_sim.run ~executions:600 ~table:ta ~fast:true p in
-  let rb = Vliw_vp.Trace_sim.run ~executions:600 ~table:tb ~fast:false p in
+  let ra = Vliw_vp.Trace_sim.run ~executions:600 ~table:ta p in
+  let rb = (Trace_oracle.run ~executions:600 ~table:tb p).result in
   Alcotest.check result "one-slot table: identical results" rb ra;
   checki "identical eviction counts"
     (Vp_predict.Vp_table.evictions tb)
@@ -156,46 +155,64 @@ let test_uniform_empty_does_not_claim () =
     "len = 0 leaves the table untouched" 0.0
     (Vp_predict.Vp_table.utilization t)
 
+(* --- The hardware artifact's own configuration ---
+
+   [vliw_vp hardware] runs every model at the default config, 5000
+   executions, on the pooled default table. The same runs through the
+   oracle, on a fresh table of the default shape, must agree. *)
+
+let test_hardware_config_all_models () =
+  List.iter
+    (fun (model : Vp_workload.Spec_model.t) ->
+      let p = Vliw_vp.Pipeline.run model in
+      let expect =
+        (Trace_oracle.run ~table:(Vp_predict.Vp_table.create ~entries:1024 ())
+           p)
+          .result
+      in
+      Alcotest.check result model.name expect (Vliw_vp.Trace_sim.run p))
+    Vp_workload.Spec_model.all
+
 (* --- Determinism and telemetry --- *)
 
 let test_fast_deterministic () =
   let p = pipeline_of Vp_workload.Spec_model.compress 42 in
-  let r1 = Vliw_vp.Trace_sim.run ~executions:500 ~fast:true p in
-  let r2 = Vliw_vp.Trace_sim.run ~executions:500 ~fast:true p in
+  let r1 = Vliw_vp.Trace_sim.run ~executions:500 p in
+  let r2 = Vliw_vp.Trace_sim.run ~executions:500 p in
   Alcotest.check result "repeat run identical" r1 r2
 
 let test_telemetry_counters () =
   (* A pipeline no earlier test has simulated: per-pipeline state (and the
      mask memo inside it) persists across runs, so only a first-ever run
-     has predictable replay counters. *)
+     is sure to replay the engine. *)
   let p = pipeline_of Vp_workload.Spec_model.compress 9 in
+  let speculated =
+    (Trace_oracle.run ~executions:500
+       ~table:(Vp_predict.Vp_table.create ~entries:1024 ())
+       p)
+      .speculated
+  in
   Vliw_vp.Trace_sim.clear_stats ();
   let s0 = Vliw_vp.Trace_sim.stats () in
-  checki "cleared" 0
-    (s0.fast_runs + s0.scalar_runs + s0.memo_hits + s0.engine_replays
-   + s0.alias_evictions);
-  ignore (Vliw_vp.Trace_sim.run ~executions:500 ~fast:true p);
+  checki "cleared" 0 (s0.memo_hits + s0.engine_replays + s0.alias_evictions);
+  ignore (Vliw_vp.Trace_sim.run ~executions:500 p);
   let s1 = Vliw_vp.Trace_sim.stats () in
-  checki "one fast run" 1 s1.fast_runs;
   checkb "engine ran at least once" true (s1.engine_replays > 0);
   checkb "memo served repeats" true (s1.memo_hits > 0);
-  (* non-speculated block executions touch neither counter *)
-  checkb "speculated executions = memo hits + replays" true
-    (s1.memo_hits + s1.engine_replays <= 500);
-  ignore (Vliw_vp.Trace_sim.run ~executions:500 ~fast:false p);
+  (* Conservation: every speculated block execution is served exactly once,
+     from the memo or by the engine; unspeculated ones touch neither. *)
+  checki "memo hits + replays = speculated executions" speculated
+    (s1.memo_hits + s1.engine_replays);
+  ignore (Vliw_vp.Trace_sim.run ~executions:500 p);
   let s2 = Vliw_vp.Trace_sim.stats () in
-  checki "one scalar run" 1 s2.scalar_runs;
-  (* The memo persists per pipeline and is shared by both lanes: the
-     scalar replay of the same schedule finds every one of its
-     (memo_hits1 + engine_replays1) speculated executions already
-     memoized, and replays nothing. *)
+  checki "conserved across runs" (2 * speculated)
+    (s2.memo_hits + s2.engine_replays);
+  (* The memo persists per pipeline: a repeat of the same schedule finds
+     every mask already memoized. *)
   checki "no new engine replays against the warm memo" s1.engine_replays
     s2.engine_replays;
-  checki "scalar lane fully served from the persistent memo"
-    ((2 * s1.memo_hits) + s1.engine_replays)
-    s2.memo_hits;
   let aliased = Vp_predict.Vp_table.create ~entries:1 () in
-  ignore (Vliw_vp.Trace_sim.run ~executions:200 ~table:aliased ~fast:true p);
+  ignore (Vliw_vp.Trace_sim.run ~executions:200 ~table:aliased p);
   let s3 = Vliw_vp.Trace_sim.stats () in
   checkb "alias evictions surfaced" true (s3.alias_evictions > 0);
   let contains hay needle =
@@ -208,14 +225,7 @@ let test_telemetry_counters () =
      String.length j > 0
      && String.sub j 0 1 = "{"
      && List.for_all (contains j)
-          [
-            "fast_enabled";
-            "fast_runs";
-            "scalar_runs";
-            "memo_hits";
-            "engine_replays";
-            "alias_evictions";
-          ])
+          [ "memo_hits"; "engine_replays"; "alias_evictions" ])
 
 let () =
   Alcotest.run "trace_sim"
@@ -230,6 +240,8 @@ let () =
             test_run_slot_uniform_matches_scalar;
           Alcotest.test_case "empty uniform run claims nothing" `Quick
             test_uniform_empty_does_not_claim;
+          Alcotest.test_case "hardware config, all models" `Quick
+            test_hardware_config_all_models;
         ] );
       ( "fast lane",
         [
