@@ -260,7 +260,7 @@ let serve_state =
        Domain.spawn (fun () ->
            Vp_serve.Server.run
              ~on_ready:(fun () -> Atomic.set ready true)
-             ~exec:exec_context cfg)
+             ~workers:0 ~make_exec:(fun () -> exec_context) cfg)
      in
      while not (Atomic.get ready) do
        Domain.cpu_relax ()
@@ -288,7 +288,7 @@ let shutdown_serve () =
    so [serve:sharded-cold] drives the real binary as a subprocess over a
    temp socket. Every timed sample submits a fresh-seed reduced table2 —
    a render key nobody has seen — so it prices the uncached end-to-end
-   sharded path: supervisor admission, routing over the shard socketpair,
+   sharded path: front-end admission, routing over the shard socketpair,
    one real simulation on the shard's resident graph, the store write and
    the streamed result frames. The daemon runs with a capped node cache
    so the resident shards stay bounded across the sample stream. *)

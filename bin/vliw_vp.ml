@@ -739,16 +739,12 @@ let serve_cmd =
          else Printf.sprintf "%d shard%s" workers
              (if workers = 1 then "" else "s"))
     in
+    (* the execution context is built where the simulations run: here at
+       --workers 0, inside each forked shard otherwise *)
     match
-      if workers = 0 then
-        (* reference path: one process, one shared graph *)
-        Vp_serve.Server.run ~on_ready ~exec:(make_exec exec_opts) cfg
-      else
-        (* the execution contexts are built inside the forked shards; the
-           supervisor itself never touches the simulator *)
-        Vp_serve.Supervisor.run ~on_ready
-          ~make_exec:(fun () -> make_exec exec_opts)
-          ~workers cfg
+      Vp_serve.Server.run ~on_ready ~workers
+        ~make_exec:(fun () -> make_exec exec_opts)
+        cfg
     with
     | _final_stats -> `Ok ()
     | exception Failure m -> `Error (false, m)

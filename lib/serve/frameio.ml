@@ -1,9 +1,9 @@
 (* Non-blocking framed-connection plumbing, shared by the server's client
-   connections and the supervisor's client connections and worker links:
-   an incremental frame decoder on the read side, a queue of encoded
-   frames with a partial-write offset on the write side. The owner runs
-   the select loop and decides what a frame or a closed peer means; this
-   module only moves bytes. *)
+   connections and its links to forked shards: an incremental frame
+   decoder on the read side, a queue of encoded frames with a
+   partial-write offset on the write side. The owner runs the select loop
+   and decides what a frame or a closed peer means; this module only
+   moves bytes. *)
 
 type t = {
   fd : Unix.file_descr;
@@ -35,9 +35,10 @@ let pending_out t = not (Queue.is_empty t.outq)
 (* Drain readable bytes, delivering each complete frame to [on_frame].
    [on_frame] may close the connection (e.g. a shutdown request); the
    loop stops as soon as it does. The caller owns the close on `Eof /
-   `Frame_error / `Io_error — it may want to flush a diagnostic first. *)
-let read_step t ~on_frame =
-  let buf = Bytes.create 65536 in
+   `Frame_error / `Io_error — it may want to flush a diagnostic first.
+   [buf] is the caller's scratch buffer, reused across calls: the decoder
+   copies what it is fed before [on_frame] runs. *)
+let read_step t ~buf ~on_frame =
   let rec go () =
     if t.closed then `Closed
     else

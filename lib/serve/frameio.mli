@@ -1,9 +1,9 @@
-(** Non-blocking framed-connection plumbing, shared by the server's and
-    supervisor's client connections and the supervisor's worker links: an
-    incremental {!Protocol.Decoder} on the read side, a queue of encoded
-    frames with a partial-write offset on the write side. The owner runs
-    the select loop and decides what a frame or a closed peer means; this
-    module only moves bytes. *)
+(** Non-blocking framed-connection plumbing, shared by the server's
+    client connections and its links to forked shards: an incremental
+    {!Protocol.Decoder} on the read side, a queue of encoded frames with
+    a partial-write offset on the write side. The owner runs the select
+    loop and decides what a frame or a closed peer means; this module
+    only moves bytes. *)
 
 type t
 
@@ -24,9 +24,11 @@ val pending_out : t -> bool
 
 val read_step :
   t ->
+  buf:Bytes.t ->
   on_frame:(string -> unit) ->
   [ `Ok | `Eof | `Closed | `Frame_error of string | `Io_error ]
-(** Drain readable bytes, delivering each complete frame payload to
+(** Drain readable bytes through [buf] (the caller's scratch buffer,
+    reused across calls and connections), delivering each complete frame payload to
     [on_frame] (which may {!close} the connection — the loop stops and
     reports [`Closed]). [`Ok] means the socket would block; the caller
     owns the close on [`Eof] / [`Frame_error] / [`Io_error], e.g. to

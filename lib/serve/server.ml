@@ -1,35 +1,44 @@
-(* The resident simulation daemon.
+(* The resident simulation daemon: one front-end loop over one of two
+   backends.
 
-   One process, two kinds of threads:
+   The {e front end} is a single-threaded [Unix.select] loop over
+   non-blocking sockets. It owns everything client-facing, each piece
+   written once: the listeners (or one pre-connected descriptor),
+   accepting, frame decoding, admission, request deadlines, the stats
+   file, the wake pipe, SIGINT/SIGTERM and drain. Admitted work goes to a
+   backend:
 
-   - the {e serve loop} (the caller's thread): a [Unix.select] loop over
-     non-blocking sockets that accepts connections, decodes request
-     frames, validates and admits them, declares their work as nodes on
-     the one shared {!Vp_exec.Graph}, and streams response frames as
-     results arrive;
-   - the graph's {e resident workers} ([Graph.start_workers], one domain
-     per [--jobs]): they execute ready nodes as they are declared.
+   - {e in-process} ([Local]): each artifact is declared as a
+     content-addressed node on one shared {!Vp_exec.Graph} whose resident
+     worker domains execute it. The artifact subscribes with
+     [Graph.on_complete]; the callback, on whichever worker domain
+     finished the node, pushes the result onto a mutex-protected
+     completion queue and pokes the wake pipe, so the loop never blocks
+     on a simulation. Overlapping requests from any number of clients
+     resolve to in-flight nodes, to results the graph still holds, or to
+     the on-disk store: each payload simulation runs once.
+   - {e forked shards} ([Shards]): each artifact's {!Spec.render_key}
+     hashes to a shard ({!Spec.shard_of_key}), and the artifacts of one
+     shard go to it as one sub-submit over a socketpair. Equal work from
+     any client lands on the same shard and dedups in its graph; the
+     mapping is a pure function of the key, so it survives re-forks. A
+     shard that exits or wedges (EOF, or heartbeat silence past
+     [dead_after_s]) is SIGKILLed and reaped, the requests with sub-work
+     on it fail with [worker_lost], and the slot is re-forked.
 
-   The two meet in [completions]: each admitted artifact subscribes with
-   [Graph.on_complete], and the callback — running on whichever worker
-   domain finished the node — pushes the rendered result onto the
-   mutex-protected completion queue and pokes the self-pipe so the select
-   loop wakes immediately. Nothing in the serve loop ever blocks on a
-   simulation.
+   A forked shard runs this same loop with the in-process backend over
+   its socketpair: no listeners, no signal handlers, unbounded admission
+   (the front end already enforced it). It exits once it has no listener
+   and no connection left, or when the front end tells it to shut down.
 
-   Sharing is the whole point: every request's nodes are declared onto the
-   same graph with the same content-addressed keys the CLI uses (see
-   {!Spec}), so overlapping requests from any number of clients resolve to
-   in-flight nodes (graph dedup), to already-finished nodes of an earlier
-   request (the graph keeps results, bounded by the node-cache LRU), or to
-   the on-disk store (warm cache) — the payload simulations run once.
-
-   The same loop also runs as one {e shard} of the sharded daemon
-   ({!run_worker}): a forked worker process serves exactly one connection
-   — the socketpair to its {!Supervisor} — with admission and timeouts
-   handled upstream. *)
+   Fork discipline: [Unix.fork] refuses to run once any domain exists, so
+   the sharded front end forks every shard before any domain is created
+   and never spawns one itself; each shard spawns its own graph workers
+   after the fork, which keeps re-forking legal for the life of the
+   daemon. *)
 
 module G = Vp_exec.Graph
+module P = Protocol
 
 type config = {
   socket_path : string;
@@ -50,13 +59,17 @@ let default_config ~socket () =
     max_pending = 64;
     client_quota = 16;
     default_timeout_s = 300.0;
-    max_frame = Protocol.default_max_frame;
+    max_frame = P.default_max_frame;
     stats_file = None;
     stats_every_s = 10.0;
     node_cap = None;
   }
 
-(* --- connections and requests ----------------------------------------- *)
+let heartbeat_every_s = 2.0
+let dead_after_s = 15.0
+let stop_grace_s = 5.0
+
+(* --- state ------------------------------------------------------------- *)
 
 type conn = {
   io : Frameio.t;
@@ -69,9 +82,9 @@ type req = {
   rid : string;
   rconn : conn;
   total : int;
-  mutable done_count : int;
+  mutable delivered : int;  (* result frames sent *)
   mutable settled : bool;  (* done, errored, timed out or client gone *)
-  cancel : Vp_exec.Cancel.t;
+  deadline : float option;
   rt0 : float;
 }
 
@@ -81,17 +94,60 @@ type completion = {
   c_result : (string, string) result;
 }
 
-type t = {
-  cfg : config;
+type local = {
   exec : Vp_exec.Context.t;
   graph : G.t;
-  telemetry : Telemetry.t;
-  (* worker-to-loop handoff *)
   cmutex : Mutex.t;
   mutable completions : completion list;  (* reversed *)
+}
+
+type worker = {
+  slot : int;
+  pid : int;
+  wio : Frameio.t;
+  spawned : float;
+  restarts : int;  (* re-forks of this slot before this incarnation *)
+  mutable up : bool;
+  mutable last_seen : float;  (* any frame from the shard *)
+  mutable last_ping : float;
+  mutable routed : int;  (* lifetime artifacts routed to this slot *)
+  mutable inflight : int;  (* unsettled sub-requests *)
+  mutable last_pool : Jsonx.t option;  (* most recent stats response *)
+}
+
+type sub = { s_req : req; s_worker : worker }
+
+(* One fan-out stats collection: a client [stats] request or the periodic
+   snapshot-file tick polls every live shard and aggregates the replies. *)
+type poll = {
+  p_id : string;  (* the id the shards echo back *)
+  p_reply : (conn * string) option;  (* [None] is the snapshot file *)
+  mutable p_pending : int list;  (* slots not yet heard from *)
+  mutable p_pools : Jsonx.t list;
+}
+
+type shards = {
+  run_shard : Unix.file_descr -> unit;  (* what a forked child runs *)
+  workers : worker option array;
+  subs : (string, sub) Hashtbl.t;
+  polls : (string, poll) Hashtbl.t;
+  mutable next_sid : int;
+  mutable next_poll : int;
+  mutable stopping : bool;  (* drained; shards told to exit *)
+  mutable stop_deadline : float;
+}
+
+type backend = Local of local | Shards of shards
+
+type t = {
+  cfg : config;
+  backend : backend;
+  telemetry : Telemetry.t;
+  buf : Bytes.t;  (* the one read buffer, shared by every descriptor *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  (* serve-loop state *)
+  interrupted : bool Atomic.t;  (* set by the SIGINT/SIGTERM handler *)
+  mutable listeners : (Unix.file_descr * string) list;  (* fd, peer name *)
   mutable conns : conn list;
   mutable live : req list;
   mutable outstanding : int;
@@ -100,7 +156,8 @@ type t = {
   mutable last_stats : float;
 }
 
-let send _t conn json = if not conn.dropped then Frameio.send conn.io json
+let send conn json = if not conn.dropped then Frameio.send conn.io json
+let close_quiet fd = try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
 
 let wake t =
   (* a full pipe already guarantees a pending wakeup *)
@@ -108,22 +165,101 @@ let wake t =
   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE), _, _) ->
     ()
 
-let push_completion t c =
-  Mutex.protect t.cmutex (fun () -> t.completions <- c :: t.completions);
+let drain_wake t =
+  let rec go () =
+    match Unix.read t.wake_r t.buf 0 (Bytes.length t.buf) with
+    | n when n > 0 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+  in
+  go ()
+
+let push_completion t l c =
+  Mutex.protect l.cmutex (fun () -> l.completions <- c :: l.completions);
   wake t
 
-let take_completions t =
-  List.rev (Mutex.protect t.cmutex (fun () ->
-      let cs = t.completions in
-      t.completions <- [];
-      cs))
+let take_completions l =
+  List.rev
+    (Mutex.protect l.cmutex (fun () ->
+         let cs = l.completions in
+         l.completions <- [];
+         cs))
 
+let all_workers s = Array.to_list s.workers |> List.filter_map Fun.id
+let live_workers s = List.filter (fun w -> w.up) (all_workers s)
+
+(* --- stats ------------------------------------------------------------- *)
+
+let workers_json s =
+  Jsonx.List
+    (List.map
+       (fun w ->
+         Jsonx.Obj
+           [
+             ("slot", Jsonx.Int w.slot);
+             ("pid", Jsonx.Int w.pid);
+             ("up", Jsonx.Bool w.up);
+             ("restarts", Jsonx.Int w.restarts);
+             ("routed", Jsonx.Int w.routed);
+             ("inflight", Jsonx.Int w.inflight);
+             ("uptime_s", Jsonx.Float (Unix.gettimeofday () -. w.spawned));
+           ])
+       (all_workers s))
+
+(* Sum the graph/cache sections of the shards' own stats objects. Peak
+   in-flight is summed too: it over-counts true simultaneity across
+   shards, but as a capacity figure the sum of per-shard peaks is the
+   honest bound on what the fleet had running. *)
+let aggregate t s pools =
+  let sum sect field =
+    List.fold_left
+      (fun acc p ->
+        match Jsonx.member sect p with
+        | Some o -> acc + Option.value ~default:0 (Jsonx.int_member field o)
+        | None -> acc)
+      0 pools
+  in
+  let hits = sum "cache" "hits" and misses = sum "cache" "misses" in
+  let total = hits + misses in
+  let ints sect fields =
+    Jsonx.Obj (List.map (fun f -> (f, Jsonx.Int (sum sect f))) fields)
+  in
+  Jsonx.Obj
+    (Telemetry.core_sections t.telemetry ~queue_depth:t.outstanding
+    @ [
+        ( "graph",
+          ints "graph"
+            [
+              "jobs_queued"; "jobs_done"; "jobs_failed"; "deduped";
+              "peak_in_flight"; "node_evictions";
+            ] );
+        ( "cache",
+          Jsonx.Obj
+            [
+              ("hits", Jsonx.Int hits);
+              ("misses", Jsonx.Int misses);
+              ("evicted", Jsonx.Int (sum "cache" "evicted"));
+              ( "hit_rate",
+                Jsonx.Float
+                  (if total = 0 then 0.0
+                   else float_of_int hits /. float_of_int total) );
+            ] );
+        ("workers", workers_json s);
+      ])
+
+(* The snapshot as of now: the local graph's counters, or the shards'
+   most recent stats responses. *)
 let stats_json t =
-  Telemetry.json t.telemetry
-    ~pool:(Vp_exec.Progress.snapshot t.exec.Vp_exec.Context.progress)
-    ~queue_depth:t.outstanding
+  match t.backend with
+  | Local l ->
+      Telemetry.json t.telemetry
+        ~pool:(Vp_exec.Progress.snapshot l.exec.Vp_exec.Context.progress)
+        ~queue_depth:t.outstanding
+  | Shards s ->
+      aggregate t s (List.filter_map (fun w -> w.last_pool) (all_workers s))
 
-let write_stats_file t =
+let write_stats_file t json =
   match t.cfg.stats_file with
   | None -> ()
   | Some path -> (
@@ -133,43 +269,339 @@ let write_stats_file t =
         Fun.protect
           ~finally:(fun () -> close_out_noerr oc)
           (fun () ->
-            output_string oc (Jsonx.to_string (stats_json t));
+            output_string oc (Jsonx.to_string json);
             output_char oc '\n');
         Sys.rename tmp path
       with Sys_error _ -> ())
 
-(* --- request handling -------------------------------------------------- *)
+let publish t reply json =
+  match reply with
+  | Some (conn, id) ->
+      send conn (P.event ~id ~event:"stats" [ ("stats", json) ])
+  | None -> write_stats_file t json
 
-let settle_request t (r : req) =
-  if not r.settled then begin
-    r.settled <- true;
-    r.rconn.outstanding <- max 0 (r.rconn.outstanding - 1);
-    t.outstanding <- max 0 (t.outstanding - 1)
+let finish_poll t s p =
+  Hashtbl.remove s.polls p.p_id;
+  publish t p.p_reply (aggregate t s p.p_pools)
+
+(* Answer a client's [stats] ([reply = Some]) or refresh the stats file
+   ([None]): at once in-process, after every live shard has answered a
+   poll when sharded. *)
+let request_stats t reply =
+  match t.backend with
+  | Local _ -> publish t reply (stats_json t)
+  | Shards s ->
+      let id = Printf.sprintf "st:%d" s.next_poll in
+      s.next_poll <- s.next_poll + 1;
+      let ws = live_workers s in
+      let p =
+        {
+          p_id = id;
+          p_reply = reply;
+          p_pending = List.map (fun w -> w.slot) ws;
+          p_pools = [];
+        }
+      in
+      if ws = [] then finish_poll t s p
+      else begin
+        Hashtbl.replace s.polls id p;
+        List.iter
+          (fun w ->
+            Frameio.send w.wio
+              (Jsonx.Obj [ ("op", Jsonx.Str "stats"); ("id", Jsonx.Str id) ]))
+          ws
+      end
+
+let poll_drop_slot t s slot =
+  Hashtbl.fold (fun _ p acc -> p :: acc) s.polls []
+  |> List.iter (fun p ->
+         if List.mem slot p.p_pending then begin
+           p.p_pending <- List.filter (fun x -> x <> slot) p.p_pending;
+           if p.p_pending = [] then finish_poll t s p
+         end)
+
+let maybe_write_stats t =
+  let file_poll_pending () =
+    match t.backend with
+    | Local _ -> false
+    | Shards s ->
+        Hashtbl.fold (fun _ p acc -> acc || p.p_reply = None) s.polls false
+  in
+  if t.cfg.stats_file <> None && not t.shutting then begin
+    let now = Unix.gettimeofday () in
+    if now -. t.last_stats >= t.cfg.stats_every_s
+       && not (file_poll_pending ())
+    then begin
+      t.last_stats <- now;
+      request_stats t None
+    end
   end
 
-let reject_submit t conn ~id (rej : Protocol.reject) =
-  Telemetry.rejected t.telemetry ~cid:conn.cid ~code:rej.code;
-  send t conn (Protocol.error ~id rej)
+(* --- request lifecycle ------------------------------------------------- *)
 
-let handle_submit t conn (s : Protocol.submit) =
+(* Every admitted request settles exactly once, counted as completed,
+   failed, timed out or abandoned. *)
+let settle t (r : req) =
+  r.settled <- true;
+  r.rconn.outstanding <- max 0 (r.rconn.outstanding - 1);
+  t.outstanding <- max 0 (t.outstanding - 1)
+
+let fail t (r : req) (rej : P.reject) =
+  if not r.settled then begin
+    send r.rconn (P.error ~id:r.rid rej);
+    settle t r;
+    let cid = r.rconn.cid in
+    if rej.code = "timeout" then Telemetry.timed_out t.telemetry ~cid
+    else Telemetry.failed t.telemetry ~cid
+  end
+
+let expired (r : req) now =
+  match r.deadline with Some d -> now > d | None -> false
+
+let time_out t (r : req) =
+  fail t r
+    (P.reject "timeout" "request exceeded its budget after %d/%d artifacts"
+       r.delivered r.total)
+
+(* One artifact's bytes. Budget enforcement is by deadline, not by luck of
+   scheduling: a result that arrives past the deadline is a timeout even
+   if no tick has fired yet. *)
+let deliver t (r : req) ~artifact ~data =
+  if (not r.settled) && expired r (Unix.gettimeofday ()) then time_out t r;
+  if not r.settled then begin
+    send r.rconn (P.result ~id:r.rid ~artifact ~data);
+    r.delivered <- r.delivered + 1;
+    if r.delivered = r.total then begin
+      let wall = Unix.gettimeofday () -. r.rt0 in
+      send r.rconn (P.done_ ~id:r.rid ~wall_s:wall);
+      settle t r;
+      Telemetry.completed t.telemetry ~cid:r.rconn.cid ~wall
+    end
+  end
+
+let check_timeouts t =
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun r -> if (not r.settled) && expired r now then time_out t r)
+    t.live;
+  t.live <- List.filter (fun r -> not r.settled) t.live
+
+let reject t conn ~id (rej : P.reject) =
+  Telemetry.rejected t.telemetry ~cid:conn.cid ~code:rej.code;
+  send conn (P.error ~id rej)
+
+(* --- the sharded backend ----------------------------------------------- *)
+
+let reap w =
+  (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error (_, _, _) -> ());
+  try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error (_, _, _) -> ()
+
+(* Descriptors a freshly forked shard inherited but must not hold open:
+   the listeners (else a dead front end's socket stays connectable), the
+   wake pipe, every client connection and every other shard's link. *)
+let child_close_list t s =
+  List.map fst t.listeners
+  @ [ t.wake_r; t.wake_w ]
+  @ List.map (fun c -> Frameio.fd c.io) t.conns
+  @ List.map (fun w -> Frameio.fd w.wio) (live_workers s)
+
+let spawn t s slot ~restarts ~routed =
+  flush stdout;
+  flush stderr;
+  let front_fd, shard_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.fork () with
+  | 0 ->
+      (* The shard serves the socketpair until told to drain, then dies.
+         The front end owns signal-driven shutdown; a shard must survive
+         the terminal's ^C reaching the whole foreground process group. *)
+      let code =
+        try
+          List.iter
+            (fun sg -> Sys.set_signal sg Sys.Signal_ignore)
+            [ Sys.sigint; Sys.sigterm; Sys.sigpipe ];
+          List.iter close_quiet (front_fd :: child_close_list t s);
+          s.run_shard shard_fd;
+          0
+        with _ -> 1
+      in
+      Unix._exit code
+  | pid ->
+      Unix.close shard_fd;
+      Unix.set_nonblock front_fd;
+      let now = Unix.gettimeofday () in
+      s.workers.(slot) <-
+        Some
+          {
+            slot;
+            pid;
+            wio = Frameio.create ~max_frame:t.cfg.max_frame front_fd;
+            spawned = now;
+            restarts;
+            up = true;
+            last_seen = now;
+            last_ping = now;
+            routed;
+            inflight = 0;
+            last_pool = None;
+          }
+
+(* A shard is gone — EOF, I/O error or heartbeat silence. Kill and reap
+   it, fail every request with an in-flight sub on it (the client's
+   resubmit hits the re-forked shard and, for whatever other shards
+   finished meanwhile, the warm store), settle any stats polls waiting on
+   it, and re-fork the slot. During the final drain shards exit on
+   purpose: just reap, never re-fork. *)
+let on_worker_gone t s w =
+  if w.up then begin
+    w.up <- false;
+    Frameio.close w.wio;
+    reap w;
+    if not s.stopping then begin
+      Hashtbl.fold
+        (fun sid sub acc ->
+          if sub.s_worker == w then (sid, sub) :: acc else acc)
+        s.subs []
+      |> List.iter (fun (sid, sub) ->
+             Hashtbl.remove s.subs sid;
+             let r = sub.s_req in
+             fail t r
+               (P.reject "worker_lost"
+                  "shard %d (pid %d) died with the request in flight (%d/%d \
+                   artifacts delivered); resubmit to retry"
+                  w.slot w.pid r.delivered r.total));
+      poll_drop_slot t s w.slot;
+      spawn t s w.slot ~restarts:(w.restarts + 1) ~routed:w.routed
+    end
+    else poll_drop_slot t s w.slot
+  end
+
+(* Route by render key: the shard an artifact hashes to is the shard whose
+   graph holds (or will hold) that exact node, so concurrent equal
+   requests dedup inside it. Duplicate names in one request share a key,
+   hence a shard. *)
+let route s (r : req) spec (sb : P.submit) ~timeout =
+  let n = Array.length s.workers in
+  let buckets = Array.make n [] in
+  List.iter
+    (fun a ->
+      let k =
+        Spec.shard_of_key ~workers:n (Spec.render_key spec ~artifact:a)
+      in
+      buckets.(k) <- a :: buckets.(k))
+    sb.experiments;
+  Array.iteri
+    (fun slot arts ->
+      match (arts, s.workers.(slot)) with
+      | [], _ -> ()
+      | _, None -> assert false (* every slot is forked at startup *)
+      | arts, Some w ->
+          let sid = Printf.sprintf "s:%d" s.next_sid in
+          s.next_sid <- s.next_sid + 1;
+          Hashtbl.replace s.subs sid { s_req = r; s_worker = w };
+          w.routed <- w.routed + List.length arts;
+          w.inflight <- w.inflight + 1;
+          Frameio.send w.wio
+            (P.json_of_submit
+               {
+                 sb with
+                 id = sid;
+                 experiments = List.rev arts;
+                 timeout_s = timeout;
+               }))
+    buckets
+
+let close_sub s w sid =
+  Hashtbl.remove s.subs sid;
+  w.inflight <- max 0 (w.inflight - 1)
+
+let handle_worker_frame t s w payload =
+  w.last_seen <- Unix.gettimeofday ();
+  match Jsonx.parse payload with
+  | Error _ -> () (* a corrupt frame surfaces as a Frame_error upstream *)
+  | Ok json -> (
+      let str k = Option.value ~default:"" (Jsonx.string_member k json) in
+      let id = str "id" in
+      let sub = Hashtbl.find_opt s.subs id in
+      match (Jsonx.string_member "event" json, sub) with
+      | Some "stats", _ -> (
+          let pool = Jsonx.member "stats" json in
+          if pool <> None then w.last_pool <- pool;
+          match Hashtbl.find_opt s.polls id with
+          | None -> ()
+          | Some p ->
+              p.p_pools <- Option.to_list pool @ p.p_pools;
+              p.p_pending <- List.filter (fun x -> x <> w.slot) p.p_pending;
+              if p.p_pending = [] then finish_poll t s p)
+      | Some "result", Some sub ->
+          deliver t sub.s_req ~artifact:(str "artifact") ~data:(str "data")
+      | Some "done", Some _ -> close_sub s w id
+      | Some "error", Some sub ->
+          close_sub s w id;
+          let code =
+            Option.value ~default:"job_failed"
+              (Jsonx.string_member "code" json)
+          in
+          fail t sub.s_req (P.reject code "%s" (str "message"))
+      | _ -> ())
+
+let read_worker t s w =
+  let on_frame = handle_worker_frame t s w in
+  match Frameio.read_step w.wio ~buf:t.buf ~on_frame with
+  | `Ok | `Closed -> ()
+  | `Eof | `Io_error | `Frame_error _ -> on_worker_gone t s w
+
+let heartbeat t s =
+  let now = Unix.gettimeofday () in
+  List.iter
+    (fun w ->
+      if now -. w.last_seen > dead_after_s then on_worker_gone t s w
+      else if
+        now -. w.last_seen > heartbeat_every_s
+        && now -. w.last_ping > heartbeat_every_s
+      then begin
+        w.last_ping <- now;
+        Frameio.send w.wio
+          (Jsonx.Obj [ ("op", Jsonx.Str "ping"); ("id", Jsonx.Str "hb") ])
+      end)
+    (live_workers s)
+
+(* Drained: tell every shard to exit, and kill the ones still up once the
+   grace period is over. *)
+let stop_shards t s =
+  if not s.stopping then begin
+    s.stopping <- true;
+    s.stop_deadline <- Unix.gettimeofday () +. stop_grace_s;
+    List.iter
+      (fun w ->
+        Frameio.send w.wio
+          (Jsonx.Obj
+             [ ("op", Jsonx.Str "shutdown"); ("id", Jsonx.Str "bye") ]))
+      (live_workers s)
+  end
+  else if Unix.gettimeofday () > s.stop_deadline then
+    List.iter (on_worker_gone t s) (live_workers s)
+
+(* --- client requests --------------------------------------------------- *)
+
+let handle_submit t conn (sb : P.submit) =
   if t.shutting then
-    reject_submit t conn ~id:s.id
-      (Protocol.reject "shutting_down" "server is draining for shutdown")
+    reject t conn ~id:sb.id
+      (P.reject "shutting_down" "server is draining for shutdown")
   else if t.outstanding >= t.cfg.max_pending then
-    reject_submit t conn ~id:s.id
-      (Protocol.reject "overloaded"
-         "pending queue full (%d requests); retry later" t.cfg.max_pending)
+    reject t conn ~id:sb.id
+      (P.reject "overloaded" "pending queue full (%d requests); retry later"
+         t.cfg.max_pending)
   else if conn.outstanding >= t.cfg.client_quota then
-    reject_submit t conn ~id:s.id
-      (Protocol.reject "quota_exceeded"
+    reject t conn ~id:sb.id
+      (P.reject "quota_exceeded"
          "client has %d requests outstanding (quota %d)" conn.outstanding
          t.cfg.client_quota)
   else
-    match Spec.of_submit s with
-    | Error rej -> reject_submit t conn ~id:s.id rej
-    | Ok spec ->
+    match Spec.of_submit sb with
+    | Error rej -> reject t conn ~id:sb.id rej
+    | Ok spec -> (
         let timeout =
-          match s.timeout_s with
+          match sb.timeout_s with
           | Some ts when ts > 0.0 -> Some ts
           | Some _ -> None
           | None ->
@@ -178,19 +610,14 @@ let handle_submit t conn (s : Protocol.submit) =
               else None
         in
         let now = Unix.gettimeofday () in
-        let cancel =
-          Vp_exec.Cancel.create
-            ?deadline:(Option.map (fun ts -> now +. ts) timeout)
-            ()
-        in
         let r =
           {
-            rid = s.id;
+            rid = sb.id;
             rconn = conn;
-            total = List.length s.experiments;
-            done_count = 0;
+            total = List.length sb.experiments;
+            delivered = 0;
             settled = false;
-            cancel;
+            deadline = Option.map (fun ts -> now +. ts) timeout;
             rt0 = now;
           }
         in
@@ -198,118 +625,98 @@ let handle_submit t conn (s : Protocol.submit) =
         t.outstanding <- t.outstanding + 1;
         t.live <- r :: t.live;
         Telemetry.accepted t.telemetry ~cid:conn.cid;
-        send t conn
-          (Protocol.accepted ~id:s.id ~artifacts:s.experiments
+        send conn
+          (P.accepted ~id:sb.id ~artifacts:sb.experiments
              ~queue_depth:t.outstanding);
-        (* Declare every artifact before subscribing can settle the
-           request: declaration is cheap (payloads run on the worker
-           domains), and the callbacks only touch the completion queue. *)
-        List.iter
-          (fun artifact ->
-            let node = Spec.declare_artifact t.graph spec artifact in
-            G.on_complete t.graph node (fun result ->
-                push_completion t
-                  { c_req = r; c_artifact = artifact; c_result = result }))
-          s.experiments
+        match t.backend with
+        | Shards s -> route s r spec sb ~timeout
+        | Local l ->
+            (* Declaring is cheap (payloads run on the worker domains), and
+               the callbacks only touch the completion queue. *)
+            List.iter
+              (fun artifact ->
+                let node = Spec.declare_artifact l.graph spec artifact in
+                G.on_complete l.graph node (fun result ->
+                    push_completion t l
+                      { c_req = r; c_artifact = artifact; c_result = result }))
+              sb.experiments)
+
+let handle_completion t (c : completion) =
+  match c.c_result with
+  | Ok data -> deliver t c.c_req ~artifact:c.c_artifact ~data
+  | Error msg ->
+      fail t c.c_req
+        (P.reject "job_failed" "%s (artifact %s)" msg c.c_artifact)
 
 let handle_frame t conn payload =
   match Jsonx.parse payload with
   | Error msg ->
-      send t conn
-        (Protocol.error ~id:""
-           (Protocol.reject "bad_request" "unparseable frame: %s" msg))
+      send conn
+        (P.error ~id:"" (P.reject "bad_request" "unparseable frame: %s" msg))
   | Ok json -> (
       Telemetry.received t.telemetry;
-      match Protocol.request_of_json json with
-      | Error (id, rej) -> reject_submit t conn ~id rej
-      | Ok (Protocol.Ping id) -> send t conn (Protocol.event ~id ~event:"pong" [])
-      | Ok (Protocol.Stats id) ->
-          send t conn
-            (Protocol.event ~id ~event:"stats" [ ("stats", stats_json t) ])
-      | Ok (Protocol.Shutdown id) ->
+      match P.request_of_json json with
+      | Error (id, rej) -> reject t conn ~id rej
+      | Ok (P.Ping id) -> send conn (P.event ~id ~event:"pong" [])
+      | Ok (P.Stats id) -> request_stats t (Some (conn, id))
+      | Ok (P.Shutdown id) ->
           t.shutting <- true;
-          send t conn (Protocol.event ~id ~event:"shutting_down" [])
-      | Ok (Protocol.Submit s) -> handle_submit t conn s)
+          send conn (P.event ~id ~event:"shutting_down" [])
+      | Ok (P.Submit sb) -> handle_submit t conn sb)
 
-let time_out_request t (r : req) =
-  Vp_exec.Cancel.cancel r.cancel ~reason:"request timeout";
-  send t r.rconn
-    (Protocol.error ~id:r.rid
-       (Protocol.reject "timeout"
-          "request exceeded its budget after %d/%d artifacts" r.done_count
-          r.total));
-  settle_request t r;
-  Telemetry.timed_out t.telemetry ~cid:r.rconn.cid
-
-let handle_completion t (c : completion) =
-  let r = c.c_req in
-  (* budget enforcement is by deadline, not by luck of scheduling: a
-     result that arrives past the request's deadline is a timeout even if
-     no tick has fired yet *)
-  if (not r.settled) && Vp_exec.Cancel.should_stop r.cancel then
-    time_out_request t r;
-  if not r.settled then
-    match c.c_result with
-    | Ok data ->
-        send t r.rconn (Protocol.result ~id:r.rid ~artifact:c.c_artifact ~data);
-        r.done_count <- r.done_count + 1;
-        if r.done_count = r.total then begin
-          let wall = Unix.gettimeofday () -. r.rt0 in
-          send t r.rconn (Protocol.done_ ~id:r.rid ~wall_s:wall);
-          settle_request t r;
-          Telemetry.completed t.telemetry ~cid:r.rconn.cid ~wall
-        end
-    | Error msg ->
-        send t r.rconn
-          (Protocol.error ~id:r.rid
-             (Protocol.reject "job_failed" "%s (artifact %s)" msg c.c_artifact));
-        settle_request t r;
-        Telemetry.failed t.telemetry ~cid:r.rconn.cid
-
-let check_timeouts t =
-  List.iter
-    (fun r ->
-      if (not r.settled) && Vp_exec.Cancel.should_stop r.cancel then
-        time_out_request t r)
-    t.live;
-  t.live <- List.filter (fun r -> not r.settled) t.live
-
-(* --- socket plumbing --------------------------------------------------- *)
+(* --- connections ------------------------------------------------------- *)
 
 let drop_conn t conn =
   if not conn.dropped then begin
     conn.dropped <- true;
-    Telemetry.client_disconnected t.telemetry ~cid:conn.cid;
-    (* requests of a vanished client: stop tracking, nothing to send *)
-    List.iter (fun r -> if r.rconn == conn then settle_request t r) t.live;
+    (* requests of a vanished client: nobody to answer, count them *)
+    List.iter
+      (fun r ->
+        if r.rconn == conn && not r.settled then begin
+          settle t r;
+          Telemetry.abandoned t.telemetry ~cid:conn.cid
+        end)
+      t.live;
     t.live <- List.filter (fun r -> not r.settled) t.live;
+    (match t.backend with
+    | Local _ -> ()
+    | Shards s ->
+        (* polls that would answer this client resolve to nowhere *)
+        Hashtbl.filter_map_inplace
+          (fun _ p ->
+            match p.p_reply with
+            | Some (c, _) when c == conn -> None
+            | _ -> Some p)
+          s.polls);
+    Telemetry.client_disconnected t.telemetry ~cid:conn.cid;
     Frameio.close conn.io;
-    t.conns <- List.filter (fun c -> not (c == conn)) t.conns
+    t.conns <- List.filter (fun c -> c != conn) t.conns
   end
 
-let accept_loop t listener ~peer_name =
+let add_conn t fd ~peer =
+  let cid = t.next_cid in
+  t.next_cid <- cid + 1;
+  Telemetry.client_connected t.telemetry ~cid ~peer;
+  t.conns <-
+    {
+      io = Frameio.create ~max_frame:t.cfg.max_frame fd;
+      cid;
+      outstanding = 0;
+      dropped = false;
+    }
+    :: t.conns
+
+let accept_loop t (listener, peer_name) =
   let rec go () =
     match Unix.accept ~cloexec:true listener with
     | fd, addr ->
         Unix.set_nonblock fd;
-        let cid = t.next_cid in
-        t.next_cid <- cid + 1;
-        let peer =
-          match addr with
-          | Unix.ADDR_UNIX _ -> peer_name
-          | Unix.ADDR_INET (host, port) ->
-              Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
-        in
-        let conn =
-          {
-            io = Frameio.create ~max_frame:t.cfg.max_frame fd;
-            cid;
-            outstanding = 0;
-            dropped = false;
-          }
-        in
-        Telemetry.client_connected t.telemetry ~cid ~peer;
-        t.conns <- conn :: t.conns;
+        add_conn t fd
+          ~peer:
+            (match addr with
+            | Unix.ADDR_UNIX _ -> peer_name
+            | Unix.ADDR_INET (host, port) ->
+                Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port);
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
@@ -317,19 +724,161 @@ let accept_loop t listener ~peer_name =
   go ()
 
 let read_conn t conn =
-  match Frameio.read_step conn.io ~on_frame:(handle_frame t conn) with
+  let on_frame = handle_frame t conn in
+  match Frameio.read_step conn.io ~buf:t.buf ~on_frame with
   | `Ok | `Closed -> ()
   | `Eof | `Io_error -> drop_conn t conn
   | `Frame_error msg ->
-      send t conn (Protocol.error ~id:"" (Protocol.reject "protocol" "%s" msg));
+      send conn (P.error ~id:"" (P.reject "protocol" "%s" msg));
       (* flush the error best-effort, then drop *)
       ignore (Frameio.write_step conn.io);
       drop_conn t conn
 
-let write_conn t conn =
-  match Frameio.write_step conn.io with
-  | `Ok -> ()
-  | `Io_error -> drop_conn t conn
+let close_listeners t =
+  List.iter (fun (fd, _) -> close_quiet fd) t.listeners;
+  t.listeners <- []
+
+(* --- the loop ---------------------------------------------------------- *)
+
+let make cfg backend ~listeners =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  {
+    cfg;
+    backend;
+    telemetry = Telemetry.create ();
+    buf = Bytes.create 65536;
+    wake_r;
+    wake_w;
+    interrupted = Atomic.make false;
+    listeners;
+    conns = [];
+    live = [];
+    outstanding = 0;
+    shutting = false;
+    next_cid = 1;
+    last_stats = Unix.gettimeofday ();
+  }
+
+let local exec cfg =
+  let graph = G.create exec in
+  G.set_node_cap graph cfg.node_cap;
+  Local { exec; graph; cmutex = Mutex.create (); completions = [] }
+
+let finished t =
+  t.shutting && t.outstanding = 0
+  && List.for_all (fun c -> not (Frameio.pending_out c.io)) t.conns
+  &&
+  match t.backend with
+  | Local _ -> true
+  | Shards s -> s.stopping && live_workers s = []
+
+let serve ?(on_ready = fun () -> ()) t =
+  (match t.backend with Local l -> G.start_workers l.graph | Shards _ -> ());
+  on_ready ();
+  let rec loop () =
+    if Atomic.get t.interrupted || (t.listeners = [] && t.conns = []) then
+      t.shutting <- true;
+    if t.shutting then close_listeners t;
+    (match t.backend with
+    | Shards s when t.shutting && t.outstanding = 0 -> stop_shards t s
+    | _ -> ());
+    if not (finished t) then begin
+      let links =
+        match t.backend with
+        | Local _ -> []
+        | Shards s -> List.map (fun w -> w.wio) (live_workers s)
+      in
+      let ios = links @ List.map (fun c -> c.io) t.conns in
+      let reads =
+        (t.wake_r :: List.map fst t.listeners) @ List.map Frameio.fd ios
+      in
+      let writes =
+        List.filter_map
+          (fun io ->
+            if Frameio.pending_out io then Some (Frameio.fd io) else None)
+          ios
+      in
+      (* Tick only when something is time-driven: live deadlines, drain,
+         stats polls, the stats file, or shard heartbeats (every 2 s). A
+         fully idle in-process daemon blocks until a socket or the wake
+         pipe wakes it — zero allocation and zero CPU between requests,
+         which also keeps a resident daemon from defeating heap
+         stabilization for anything else in the process, e.g. the bench
+         harness. *)
+      let timeout =
+        if t.live <> [] || t.shutting then 0.2
+        else
+          match t.backend with
+          | Local _ -> if t.cfg.stats_file = None then -1.0 else 0.2
+          | Shards s ->
+              if Hashtbl.length s.polls > 0 then 0.2 else heartbeat_every_s
+      in
+      let readable, _, _ =
+        match Unix.select reads writes [] timeout with
+        | r -> r
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+      in
+      let ready fd = List.mem fd readable in
+      if ready t.wake_r then drain_wake t;
+      List.iter (fun l -> if ready (fst l) then accept_loop t l) t.listeners;
+      List.iter
+        (fun c ->
+          if (not c.dropped) && ready (Frameio.fd c.io) then read_conn t c)
+        t.conns;
+      (match t.backend with
+      | Local l -> List.iter (handle_completion t) (take_completions l)
+      | Shards s ->
+          List.iter
+            (fun w ->
+              if w.up && ready (Frameio.fd w.wio) then read_worker t s w)
+            (live_workers s));
+      check_timeouts t;
+      (* ping quiet shards, then flush everything queued, this
+         iteration's frames included *)
+      (match t.backend with
+      | Local _ -> ()
+      | Shards s ->
+          heartbeat t s;
+          List.iter
+            (fun w ->
+              if w.up && Frameio.pending_out w.wio then
+                match Frameio.write_step w.wio with
+                | `Ok -> ()
+                | `Io_error -> on_worker_gone t s w)
+            (live_workers s));
+      List.iter
+        (fun c ->
+          if (not c.dropped) && Frameio.pending_out c.io then
+            match Frameio.write_step c.io with
+            | `Ok -> ()
+            | `Io_error -> drop_conn t c)
+        t.conns;
+      maybe_write_stats t;
+      loop ()
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      close_listeners t;
+      (match t.backend with
+      | Local l -> G.stop_workers l.graph
+      | Shards s ->
+          List.iter
+            (fun w ->
+              w.up <- false;
+              Frameio.close w.wio;
+              reap w)
+            (live_workers s));
+      write_stats_file t (stats_json t);
+      List.iter (drop_conn t) t.conns;
+      close_quiet t.wake_r;
+      close_quiet t.wake_w)
+    loop;
+  stats_json t
+
+(* --- entry point ------------------------------------------------------- *)
 
 let unix_listener path =
   (if Sys.file_exists path then
@@ -338,7 +887,8 @@ let unix_listener path =
      match Unix.connect probe (Unix.ADDR_UNIX path) with
      | () ->
          Unix.close probe;
-         failwith (Printf.sprintf "socket %s: a daemon is already listening" path)
+         failwith
+           (Printf.sprintf "socket %s: a daemon is already listening" path)
      | exception Unix.Unix_error (_, _, _) ->
          Unix.close probe;
          (try Sys.remove path with Sys_error _ -> ()));
@@ -356,173 +906,10 @@ let tcp_listener port =
   Unix.set_nonblock fd;
   fd
 
-(* --- shared scaffolding ------------------------------------------------ *)
-
-let make ~exec cfg =
-  let graph = G.create exec in
-  G.set_node_cap graph cfg.node_cap;
-  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  {
-    cfg;
-    exec;
-    graph;
-    telemetry = Telemetry.create ();
-    cmutex = Mutex.create ();
-    completions = [];
-    wake_r;
-    wake_w;
-    conns = [];
-    live = [];
-    outstanding = 0;
-    shutting = false;
-    next_cid = 1;
-    last_stats = Unix.gettimeofday ();
-  }
-
-let drain_wake t =
-  let buf = Bytes.create 256 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
-    | n when n > 0 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
-let close_wake t =
-  (try Unix.close t.wake_r with Unix.Unix_error (_, _, _) -> ());
-  try Unix.close t.wake_w with Unix.Unix_error (_, _, _) -> ()
-
-let maybe_write_stats t =
-  match t.cfg.stats_file with
-  | Some _ ->
-      let now = Unix.gettimeofday () in
-      if now -. t.last_stats >= t.cfg.stats_every_s then begin
-        t.last_stats <- now;
-        write_stats_file t
-      end
-  | None -> ()
-
-(* --- main loop --------------------------------------------------------- *)
-
-let interrupted = Atomic.make false
-
-let run ?(on_ready = fun () -> ()) ~exec cfg =
-  let t = make ~exec cfg in
-  let unix_l = unix_listener cfg.socket_path in
-  let tcp_l = Option.map tcp_listener cfg.tcp_port in
-  let listeners = unix_l :: Option.to_list tcp_l in
-  Atomic.set interrupted false;
-  (* The handler also writes the self-pipe so a signal that lands just
-     before an idle (infinite-timeout) select still wakes the loop. *)
-  let on_signal _ =
-    Atomic.set interrupted true;
-    wake t
-  in
-  let old_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
-  let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
-  let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  G.start_workers t.graph;
-  on_ready ();
-  let listeners_open = ref true in
-  let close_listeners () =
-    if !listeners_open then begin
-      listeners_open := false;
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-        listeners
-    end
-  in
-  let finished () =
-    t.shutting && t.outstanding = 0
-    && List.for_all (fun c -> not (Frameio.pending_out c.io)) t.conns
-  in
-  let rec loop () =
-    if Atomic.get interrupted then t.shutting <- true;
-    if t.shutting then close_listeners ();
-    if not (finished ()) then begin
-      let reads =
-        (t.wake_r :: (if !listeners_open then listeners else []))
-        @ List.map (fun c -> Frameio.fd c.io) t.conns
-      in
-      let writes =
-        List.filter_map
-          (fun c ->
-            if Frameio.pending_out c.io then Some (Frameio.fd c.io) else None)
-          t.conns
-      in
-      (* Only tick when something is time-driven: request deadlines or
-         periodic stats snapshots (shutdown progress is event-driven but
-         ticks too, cheaply, as a backstop). A fully idle daemon blocks
-         until a socket or the self-pipe wakes it — zero allocation and
-         zero CPU between requests, which also keeps a resident daemon
-         from defeating heap stabilization (Gc.compact convergence) for
-         anything else in the process, e.g. the bench harness. *)
-      let timeout =
-        if t.live = [] && (not t.shutting) && t.cfg.stats_file = None then
-          -1.0
-        else 0.2
-      in
-      let readable, writable, _ =
-        match Unix.select reads writes [] timeout with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      if List.mem t.wake_r readable then drain_wake t;
-      if !listeners_open then
-        List.iter
-          (fun l ->
-            if List.mem l readable then
-              accept_loop t l
-                ~peer_name:
-                  (if Some l = tcp_l then "tcp" else cfg.socket_path))
-          listeners;
-      List.iter
-        (fun c -> if List.mem (Frameio.fd c.io) readable then read_conn t c)
-        t.conns;
-      List.iter (handle_completion t) (take_completions t);
-      check_timeouts t;
-      List.iter
-        (fun c ->
-          if List.mem (Frameio.fd c.io) writable && Frameio.pending_out c.io
-          then write_conn t c)
-        t.conns;
-      (* opportunistic flush: frames enqueued this iteration *)
-      List.iter
-        (fun c -> if Frameio.pending_out c.io then write_conn t c)
-        t.conns;
-      maybe_write_stats t;
-      loop ()
-    end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      close_listeners ();
-      G.stop_workers t.graph;
-      write_stats_file t;
-      List.iter (fun c -> drop_conn t c) t.conns;
-      close_wake t;
-      (try Sys.remove cfg.socket_path with Sys_error _ -> ());
-      Sys.set_signal Sys.sigint old_int;
-      Sys.set_signal Sys.sigterm old_term;
-      Sys.set_signal Sys.sigpipe old_pipe)
-    loop;
-  stats_json t
-
-(* --- shard worker loop ------------------------------------------------- *)
-
-(* One shard of the sharded daemon: the same serve loop over exactly one
-   connection — the socketpair to the supervisor — with no listeners and
-   no signal handling (the forked child ignores SIGINT/SIGTERM; the
-   supervisor owns the process group's lifecycle and tells us to drain
-   with a [shutdown] frame, or vanishes, which reads as EOF). Admission
-   and client-facing timeouts live in the supervisor; the worker's own
-   quotas are effectively unbounded and deadlines arrive as explicit
-   [timeout_s] on each forwarded sub-request. *)
-let run_worker ?(on_ready = fun () -> ()) ~exec cfg fd =
+(* A forked shard: the in-process backend over the socketpair, with
+   admission unbounded and no deadline of its own — forwarded sub-submits
+   carry the front end's timeout as an explicit [timeout_s]. *)
+let run_shard make_exec cfg fd =
   let cfg =
     {
       cfg with
@@ -532,58 +919,58 @@ let run_worker ?(on_ready = fun () -> ()) ~exec cfg fd =
       stats_file = None;
     }
   in
-  let t = make ~exec cfg in
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
+  let t = make cfg (local (make_exec ()) cfg) ~listeners:[] in
   Unix.set_nonblock fd;
-  let conn =
-    {
-      io = Frameio.create ~max_frame:cfg.max_frame fd;
-      cid = 0;
-      outstanding = 0;
-      dropped = false;
-    }
-  in
-  Telemetry.client_connected t.telemetry ~cid:0 ~peer:"supervisor";
-  t.conns <- [ conn ];
-  G.start_workers t.graph;
-  on_ready ();
-  let finished () =
-    conn.dropped
-    || (t.shutting && t.outstanding = 0 && not (Frameio.pending_out conn.io))
-  in
-  let rec loop () =
-    if not (finished ()) then begin
-      let reads = [ t.wake_r; Frameio.fd conn.io ] in
-      let writes =
-        if Frameio.pending_out conn.io then [ Frameio.fd conn.io ] else []
-      in
-      let timeout = if t.live = [] && not t.shutting then -1.0 else 0.2 in
-      let readable, writable, _ =
-        match Unix.select reads writes [] timeout with
-        | r -> r
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      if List.mem t.wake_r readable then drain_wake t;
-      if (not conn.dropped) && List.mem (Frameio.fd conn.io) readable then
-        read_conn t conn;
-      List.iter (handle_completion t) (take_completions t);
-      check_timeouts t;
-      if
-        (not conn.dropped)
-        && (List.mem (Frameio.fd conn.io) writable
-           || Frameio.pending_out conn.io)
-      then write_conn t conn;
-      loop ()
-    end
+  add_conn t fd ~peer:"front end";
+  ignore (serve t)
+
+let run ?on_ready ~workers ~make_exec cfg =
+  if workers < 0 then invalid_arg "Server.run: workers must be >= 0";
+  (* Listeners exist before any fork so the shards can close their
+     inherited copies; the shards themselves never accept. *)
+  let listeners =
+    (unix_listener cfg.socket_path, cfg.socket_path)
+    :: List.map
+         (fun p -> (tcp_listener p, "tcp"))
+         (Option.to_list cfg.tcp_port)
   in
   Fun.protect
-    ~finally:(fun () ->
-      G.stop_workers t.graph;
-      (* the workers may have settled more nodes while draining *)
-      List.iter (handle_completion t) (take_completions t);
-      if (not conn.dropped) && Frameio.pending_out conn.io then
-        ignore (Frameio.write_step conn.io);
-      drop_conn t conn;
-      close_wake t)
-    loop;
-  stats_json t
+    ~finally:(fun () -> try Sys.remove cfg.socket_path with Sys_error _ -> ())
+    (fun () ->
+      let backend =
+        if workers = 0 then local (make_exec ()) cfg
+        else
+          Shards
+            {
+              run_shard = run_shard make_exec cfg;
+              workers = Array.make workers None;
+              subs = Hashtbl.create 64;
+              polls = Hashtbl.create 8;
+              next_sid = 0;
+              next_poll = 0;
+              stopping = false;
+              stop_deadline = 0.0;
+            }
+      in
+      let t = make cfg backend ~listeners in
+      (match backend with
+      | Shards s ->
+          Array.iteri
+            (fun slot _ -> spawn t s slot ~restarts:0 ~routed:0)
+            s.workers
+      | Local _ -> ());
+      (* The handler also writes the wake pipe so a signal that lands just
+         before an idle (infinite-timeout) select still wakes the loop. *)
+      let on_signal _ =
+        Atomic.set t.interrupted true;
+        wake t
+      in
+      let old_int = Sys.signal Sys.sigint (Sys.Signal_handle on_signal) in
+      let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle on_signal) in
+      let old_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.set_signal Sys.sigint old_int;
+          Sys.set_signal Sys.sigterm old_term;
+          Sys.set_signal Sys.sigpipe old_pipe)
+        (fun () -> serve ?on_ready t))

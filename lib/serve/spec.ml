@@ -1,15 +1,15 @@
-(* Request semantics shared by the in-process server, the sharded
-   supervisor and its forked workers: building the experiment [Config.t]
+(* Request semantics shared by the serve front end and its backends:
+   building the experiment [Config.t]
    from a submit (core fields plus validated machine-config overrides),
    resolving benchmark models, computing artifact render keys — the
    identity used both for graph dedup and for shard routing — and
    declaring artifact render nodes on a graph.
 
-   Supervisor and workers must agree exactly on all of this: the
-   supervisor routes an artifact to the shard its render key hashes to,
-   and the worker dedups equal work under the same key. Keys digest
-   [Marshal] bytes with [Closures], which is stable across forked workers
-   because they share the supervisor's process image. *)
+   The front end and its forked shards must agree exactly on all of
+   this: the front end routes an artifact to the shard its render key
+   hashes to, and the shard dedups equal work under the same key. Keys
+   digest [Marshal] bytes with [Closures], which is stable across forked
+   shards because they share the front end's process image. *)
 
 module G = Vp_exec.Graph
 

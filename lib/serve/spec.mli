@@ -1,15 +1,15 @@
-(** Request semantics shared by the in-process server, the sharded
-    supervisor and its forked workers: turning a validated
+(** Request semantics shared by the serve front end and its backends:
+    turning a validated
     {!Protocol.submit} into the experiment configuration, benchmark
     models and custom-sweep points it denotes, computing artifact render
     keys — the identity used both for graph-level dedup and for shard
     routing — and declaring artifact render nodes on a graph.
 
-    Supervisor and workers must agree exactly on all of this: the
-    supervisor routes an artifact to the shard its render key hashes to,
-    and the worker dedups equal work under the same key. The keys digest
-    [Marshal] bytes with [Closures], which is stable across forked
-    workers because they share one process image. *)
+    The front end and its forked shards must agree exactly on all of
+    this: the front end routes an artifact to the shard its render key
+    hashes to, and the shard dedups equal work under the same key. The
+    keys digest [Marshal] bytes with [Closures], which is stable across
+    forked shards because they share one process image. *)
 
 type t = {
   config : Vliw_vp.Config.t;

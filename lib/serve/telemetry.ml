@@ -18,6 +18,7 @@ type t = {
   mutable completed : int;
   mutable failed : int;  (* job_failed errors streamed back *)
   mutable timed_out : int;
+  mutable abandoned : int;  (* settled because the client went away *)
   mutable rejected : (string * int) list;  (* per error code *)
   mutable connections : int;  (* lifetime *)
   clients : (int, client) Hashtbl.t;  (* currently connected *)
@@ -36,6 +37,7 @@ let create () =
     completed = 0;
     failed = 0;
     timed_out = 0;
+    abandoned = 0;
     rejected = [];
     connections = 0;
     clients = Hashtbl.create 16;
@@ -94,6 +96,10 @@ let timed_out t ~cid =
   t.timed_out <- t.timed_out + 1;
   finish_one t ~cid
 
+let abandoned t ~cid =
+  t.abandoned <- t.abandoned + 1;
+  finish_one t ~cid
+
 let rejected t ~cid ~code =
   (t.rejected <-
      (match List.assoc_opt code t.rejected with
@@ -126,8 +132,8 @@ let latency_json t =
     ]
 
 (* Server-side sections alone: uptime, request counters, latency
-   percentiles, per-client counters. The supervisor composes these with
-   graph/cache sections aggregated across its workers' snapshots. *)
+   percentiles, per-client counters. The sharded backend composes these
+   with graph/cache sections aggregated across its shards' snapshots. *)
 let core_sections t ~queue_depth =
   let clients =
     Hashtbl.fold (fun _ c acc -> c :: acc) t.clients []
@@ -143,6 +149,7 @@ let core_sections t ~queue_depth =
           ("completed", Jsonx.Int t.completed);
           ("failed", Jsonx.Int t.failed);
           ("timed_out", Jsonx.Int t.timed_out);
+          ("abandoned", Jsonx.Int t.abandoned);
           ( "rejected",
             Jsonx.Obj (List.map (fun (c, n) -> (c, Jsonx.Int n)) t.rejected) );
           ("queue_depth", Jsonx.Int queue_depth);

@@ -26,6 +26,13 @@ val accepted : t -> cid:int -> unit
 val completed : t -> cid:int -> wall:float -> unit
 val failed : t -> cid:int -> unit
 val timed_out : t -> cid:int -> unit
+
+val abandoned : t -> cid:int -> unit
+(** An admitted request settled because its client disconnected. Every
+    accepted request ends in exactly one of {!completed}, {!failed},
+    {!timed_out} or this, so [accepted = completed + failed + timed_out +
+    abandoned] once nothing is in flight. *)
+
 val rejected : t -> cid:int -> code:string -> unit
 
 (** {1 Rendering} *)
@@ -36,9 +43,9 @@ val json : t -> pool:Vp_exec.Progress.snapshot -> queue_depth:int -> Jsonx.t
 
 val core_sections : t -> queue_depth:int -> (string * Jsonx.t) list
 (** Just the server-side sections ([uptime_s], [requests], [latency],
-    [clients]) — the supervisor composes these with graph/cache sections
-    aggregated across its workers' snapshots and a [workers] section of
-    its own. *)
+    [clients]) — the sharded backend composes these with graph/cache
+    sections aggregated across its shards' snapshots and a [workers]
+    section of its own. *)
 
 val pool_sections : Vp_exec.Progress.snapshot -> (string * Jsonx.t) list
 (** The [graph] and [cache] sections of one execution context's

@@ -1,7 +1,9 @@
 (* Tests for Vp_serve: the hand-rolled JSON codec, the frame decoder, the
    request validation, and the daemon end-to-end over a real Unix socket —
    byte-identity with the direct renderers, warm/dedup behaviour,
-   admission control, timeouts and graceful shutdown. *)
+   admission control, timeouts, counter conservation and graceful
+   shutdown. The cases that exercise the shared front end run on both
+   backends: in-process and forked shards. *)
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -184,8 +186,8 @@ let test_sweep_and_override_validation () =
 
 (* Start a daemon in its own domain, run [f client], shut down cleanly.
    Returns [f]'s result after the daemon has exited. *)
-let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs) f =
-  let socket = fresh_socket () in
+let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs)
+    ?(socket = fresh_socket ()) f =
   let config = cfg (Vp_serve.Server.default_config ~socket ()) in
   let ready = Atomic.make false in
   let exec = Vp_exec.Context.create ~jobs () in
@@ -193,7 +195,7 @@ let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs) f =
     Domain.spawn (fun () ->
         Vp_serve.Server.run
           ~on_ready:(fun () -> Atomic.set ready true)
-          ~exec config)
+          ~workers:0 ~make_exec:(fun () -> exec) config)
   in
   let deadline = Unix.gettimeofday () +. 10.0 in
   while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
@@ -211,6 +213,117 @@ let with_server ?(cfg = fun c -> c) ?(jobs = par_jobs) f =
   in
   checkb "socket removed after shutdown" false (Sys.file_exists socket);
   result
+
+(* The forked-shard daemon (subprocess): [Unix.fork] refuses to run in a
+   process with domains, so these helpers drive the real binary. [args]
+   are extra [serve] flags. *)
+
+let bin = "../bin/vliw_vp.exe"
+
+let fresh_dir =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "vp_serve_shard_%d_%d" (Unix.getpid ()) !n)
+
+let with_sharded ?(workers = 2) ?(args = []) ?(socket = fresh_socket ()) f =
+  let cache = fresh_dir () in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process bin
+      (Array.of_list
+         ([
+            bin; "serve"; "--workers"; string_of_int workers; "--socket";
+            socket; "--cache-dir"; cache; "-j"; "1"; "--timeout"; "120";
+          ]
+         @ args))
+      Unix.stdin null null
+  in
+  Unix.close null;
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let rec wait_ready () =
+    let probe = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect probe (Unix.ADDR_UNIX socket) with
+    | () -> Unix.close probe
+    | exception Unix.Unix_error (_, _, _) ->
+        Unix.close probe;
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "sharded daemon never became ready";
+        (match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> ()
+        | _ -> Alcotest.fail "sharded daemon exited during startup");
+        Unix.sleepf 0.05;
+        wait_ready ()
+  in
+  wait_ready ();
+  let client = Vp_serve.Client.connect socket in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Vp_serve.Client.shutdown client with _ -> ());
+      Vp_serve.Client.close client;
+      let deadline = Unix.gettimeofday () +. 20.0 in
+      let rec reap () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ ->
+            if Unix.gettimeofday () > deadline then begin
+              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+              ignore (Unix.waitpid [] pid)
+            end
+            else begin
+              Unix.sleepf 0.05;
+              reap ()
+            end
+        | _ -> ()
+      in
+      reap ();
+      (* the store is one flat directory of entry files *)
+      try
+        Array.iter
+          (fun f -> Sys.remove (Filename.concat cache f))
+          (Sys.readdir cache);
+        Sys.rmdir cache
+      with Sys_error _ -> ())
+    (fun () -> f client)
+
+(* Run a front-end case on both backends, configured alike: the
+   in-process daemon and a forked one-shard daemon. [f] gets whether the
+   backend is sharded, the socket path (for extra connections) and a
+   connected client; both must answer with the same error codes and
+   stats keys. *)
+let each_backend ?max_pending ?client_quota f =
+  let flag name = function
+    | Some n -> [ name; string_of_int n ]
+    | None -> []
+  in
+  let cfg (c : Vp_serve.Server.config) =
+    {
+      c with
+      max_pending = Option.value ~default:c.max_pending max_pending;
+      client_quota = Option.value ~default:c.client_quota client_quota;
+    }
+  in
+  let socket = fresh_socket () in
+  with_server ~cfg ~socket (f ~sharded:false ~socket);
+  let socket = fresh_socket () in
+  with_sharded ~workers:1 ~socket
+    ~args:
+      (flag "--max-pending" max_pending @ flag "--client-quota" client_quota)
+    (f ~sharded:true ~socket)
+
+let request_counter stats k =
+  let req = Option.get (J.member "requests" stats) in
+  Option.value ~default:(-1) (J.int_member k req)
+
+(* Every accepted request settles exactly once, so with nothing in
+   flight the settled counters add up to the accepted one. *)
+let check_conserved stats =
+  let n = request_counter stats in
+  checki "nothing in flight" 0 (n "queue_depth");
+  checki "accepted = completed + failed + timed_out + abandoned"
+    (n "accepted")
+    (n "completed" + n "failed" + n "timed_out" + n "abandoned")
 
 let compress = [ Vp_workload.Spec_model.compress ]
 
@@ -269,9 +382,7 @@ let test_e2e_overlap_identical_streams () =
         (String.concat "" (List.map snd o1.results)))
 
 let test_e2e_admission_overloaded () =
-  with_server
-    ~cfg:(fun c -> { c with Vp_serve.Server.max_pending = 0 })
-    (fun client ->
+  each_backend ~max_pending:0 (fun ~sharded:_ ~socket:_ client ->
       let o = Vp_serve.Client.submit client (table2_spec ()) in
       match o.error with
       | Some ("overloaded", _) -> ()
@@ -279,9 +390,7 @@ let test_e2e_admission_overloaded () =
       | None -> Alcotest.fail "admitted despite max_pending=0")
 
 let test_e2e_admission_quota () =
-  with_server
-    ~cfg:(fun c -> { c with Vp_serve.Server.client_quota = 0 })
-    (fun client ->
+  each_backend ~client_quota:0 (fun ~sharded:_ ~socket:_ client ->
       let o = Vp_serve.Client.submit client (table2_spec ()) in
       match o.error with
       | Some ("quota_exceeded", _) -> ()
@@ -302,7 +411,7 @@ let test_e2e_unknown_benchmark () =
       | None -> Alcotest.fail "unknown benchmark accepted")
 
 let test_e2e_timeout () =
-  with_server (fun client ->
+  each_backend (fun ~sharded:_ ~socket:_ client ->
       (* a cold full-size request with a microscopic budget: the timeout
          fires at the next serve-loop tick, long before the work is done *)
       let spec =
@@ -318,21 +427,62 @@ let test_e2e_timeout () =
       | None -> Alcotest.fail "no timeout reported");
       checkb "timeout reported promptly" true (elapsed < 5.0))
 
+let keys = function J.Obj kvs -> List.map fst kvs | _ -> []
+
 let test_e2e_stats_and_ping () =
-  with_server (fun client ->
+  each_backend (fun ~sharded ~socket:_ client ->
       Vp_serve.Client.ping client;
       ignore (Vp_serve.Client.submit client (table2_spec ()));
       let stats = Vp_serve.Client.stats client in
       let member path = J.member path stats in
-      List.iter
-        (fun k -> checkb k true (member k <> None))
-        [ "uptime_s"; "requests"; "latency"; "clients"; "graph"; "cache" ];
+      Alcotest.(check (list string))
+        "sections"
+        ([ "uptime_s"; "requests"; "latency"; "clients"; "graph"; "cache" ]
+        @ if sharded then [ "workers" ] else [])
+        (keys stats);
       let requests = Option.get (member "requests") in
+      Alcotest.(check (list string))
+        "request counters"
+        [
+          "received"; "accepted"; "completed"; "failed"; "timed_out";
+          "abandoned"; "rejected"; "queue_depth";
+        ]
+        (keys requests);
+      check_conserved stats;
+      checki "abandoned" 0 (request_counter stats "abandoned");
       checki "completed" 1
         (Option.value ~default:(-1) (J.int_member "completed" requests));
       let latency = Option.get (member "latency") in
       checki "latency count" 1
         (Option.value ~default:(-1) (J.int_member "count" latency)))
+
+let test_e2e_counters_conserve () =
+  each_backend (fun ~sharded:_ ~socket client ->
+      checkb "warm-up ok" true
+        ((Vp_serve.Client.submit client (table2_spec ())).error = None);
+      (* a client that hangs up during a cold submit: nobody is left to
+         answer, and the request must still be counted once *)
+      let quitter = Vp_serve.Client.connect socket in
+      ignore
+        (Vp_serve.Client.submit_async quitter
+           (Vp_serve.Client.submit_spec ~experiments:[ "table2" ]
+              ~benchmarks:[ "compress" ] ~seed:4242 ()));
+      Vp_serve.Client.close quitter;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec await_abandoned () =
+        let stats = Vp_serve.Client.stats client in
+        if
+          request_counter stats "abandoned" = 0
+          && Unix.gettimeofday () < deadline
+        then begin
+          Unix.sleepf 0.05;
+          await_abandoned ()
+        end
+        else stats
+      in
+      let stats = await_abandoned () in
+      checki "abandoned" 1 (request_counter stats "abandoned");
+      check_conserved stats)
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -426,70 +576,6 @@ let test_e2e_node_cache_eviction () =
       checkb "evictions reported" true
         (Option.value ~default:0 (J.int_member "node_evictions" g) > 0))
 
-(* --- the sharded daemon (subprocess): [Unix.fork] refuses to run in a
-   process with domains, so these tests drive the real binary --- *)
-
-let bin = "../bin/vliw_vp.exe"
-
-let fresh_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vp_serve_shard_%d_%d" (Unix.getpid ()) !n)
-
-let with_sharded ?(workers = 2) f =
-  let socket = fresh_socket () in
-  let cache = fresh_dir () in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process bin
-      [|
-        bin; "serve"; "--workers"; string_of_int workers; "--socket"; socket;
-        "--cache-dir"; cache; "-j"; "1"; "--timeout"; "120";
-      |]
-      Unix.stdin null null
-  in
-  Unix.close null;
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec wait_ready () =
-    let probe = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect probe (Unix.ADDR_UNIX socket) with
-    | () -> Unix.close probe
-    | exception Unix.Unix_error (_, _, _) ->
-        Unix.close probe;
-        if Unix.gettimeofday () > deadline then
-          Alcotest.fail "sharded daemon never became ready";
-        (match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ -> ()
-        | _ -> Alcotest.fail "sharded daemon exited during startup");
-        Unix.sleepf 0.05;
-        wait_ready ()
-  in
-  wait_ready ();
-  let client = Vp_serve.Client.connect socket in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Vp_serve.Client.shutdown client with _ -> ());
-      Vp_serve.Client.close client;
-      let deadline = Unix.gettimeofday () +. 20.0 in
-      let rec reap () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-            if Unix.gettimeofday () > deadline then begin
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] pid)
-            end
-            else begin
-              Unix.sleepf 0.05;
-              reap ()
-            end
-        | _ -> ()
-      in
-      reap ())
-    (fun () -> f client)
-
 let test_sharded_byte_identity () =
   with_sharded ~workers:2 (fun client ->
       let o = Vp_serve.Client.submit client (table2_spec ()) in
@@ -504,8 +590,8 @@ let test_sharded_byte_identity () =
       let o2 = Vp_serve.Client.submit client (table2_spec ()) in
       checkb "warm identical" true (o.results = o2.results))
 
-(* The supervisor's stats carry a workers section; pick a shard that holds
-   in-flight sub-work right now. *)
+(* The sharded front end's stats carry a workers section; pick a shard
+   that holds in-flight sub-work right now. *)
 let busy_shard_pid client =
   let stats = Vp_serve.Client.stats client in
   match J.member "workers" stats with
@@ -522,7 +608,7 @@ let test_sharded_worker_lost () =
   with_sharded ~workers:2 (fun client ->
       (* The kill must land while the victim shard holds sub-work: submit a
          cold multi-artifact request (fresh seed each attempt), find a busy
-         shard via the supervisor's stats — the serve loops answer while
+         shard via the front end's stats — the serve loops answer while
          their domains compute — and SIGKILL it. *)
       let rec attempt n =
         if n > 3 then Alcotest.fail "never caught a shard mid-request"
@@ -592,6 +678,7 @@ let () =
           tc "unknown benchmark" test_e2e_unknown_benchmark;
           tc "timeout" test_e2e_timeout;
           tc "stats and ping" test_e2e_stats_and_ping;
+          tc "request counters conserve" test_e2e_counters_conserve;
           tc "overrides and custom sweep" test_e2e_overrides_and_custom_sweep;
           tc "sweep point validation" test_e2e_sweep_point_validation;
           tc "node-cache eviction" test_e2e_node_cache_eviction;
